@@ -24,6 +24,7 @@
 
 use crate::checkpoint::{CheckpointError, JournalRecord, SweepCheckpoint};
 use crate::runner::MeasurementRunner;
+use enprop_kernels::par;
 use enprop_power::{MeasureError, Meter};
 use enprop_units::Seconds;
 use serde::{Deserialize, DeserializeOwned, Serialize};
@@ -31,7 +32,6 @@ use std::cell::UnsafeCell;
 use std::collections::HashSet;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -40,13 +40,11 @@ use std::time::{Duration, Instant};
 /// The scheduler guarantees each index is claimed by exactly one worker
 /// (a `fetch_add` cursor hands out disjoint chunks), so each slot is
 /// written exactly once, with no concurrent access — which makes a plain
-/// `UnsafeCell<MaybeUninit<T>>` sound and replaces the previous
-/// `Vec<Mutex<Option<T>>>` (a lock round-trip per result). The scope join
-/// between the writes and [`into_vec`](ResultSlots::into_vec) provides the
-/// happens-before edge that publishes the values. If a measurement closure
-/// panics, the unwind is caught, the sweep aborts and re-panics *after* the
-/// scope join with a diagnostic naming the configuration — and the slots
-/// are leaked, never read: no use of uninitialized memory.
+/// `UnsafeCell<MaybeUninit<T>>` sound without a lock per result. The
+/// worker join between the writes and [`into_vec`](ResultSlots::into_vec)
+/// provides the happens-before edge that publishes the values. If a
+/// measurement closure panics, the sweep unwinds past `into_vec` and the
+/// written slots are leaked, never read: no use of uninitialized memory.
 struct ResultSlots<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
 }
@@ -158,9 +156,7 @@ pub struct SweepExecutor {
 impl SweepExecutor {
     /// An executor over all available cores, measuring under `seed`.
     pub fn new(seed: u64) -> Self {
-        let threads =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { seed, threads }
+        Self { seed, threads: par::host_parallelism() }
     }
 
     /// A single-threaded executor — the reference ordering every parallel
@@ -195,15 +191,17 @@ impl SweepExecutor {
     /// `make_state`, calling `f(state, item, config_seed)` per item.
     /// Results are returned in the order of `items`.
     ///
-    /// Work distribution is a shared atomic cursor claimed in *chunks*
-    /// (dynamic scheduling with amortized cursor traffic): each worker
-    /// claims a run of consecutive indices per `fetch_add`, so cursor
-    /// contention and per-item scheduling overhead shrink by the chunk
-    /// length, while load imbalance between configurations still cannot
-    /// idle workers for long. Each worker constructs its state once, before
-    /// entering the steal loop. Results land in lock-free write-once slots
-    /// ([`ResultSlots`]); because `f`'s output depends only on
-    /// `(item, config_seed)`, the schedule cannot leak into the results.
+    /// Scheduling is [`enprop_kernels::par::claim_chunks`]: workers claim
+    /// runs of consecutive indices from a shared atomic cursor and build
+    /// their state once, before the first claim. Results land in lock-free
+    /// write-once slots ([`ResultSlots`]); because `f`'s output depends
+    /// only on `(item, config_seed)`, the schedule cannot leak into the
+    /// results.
+    ///
+    /// A panicking `f` aborts the sweep with a diagnostic naming the
+    /// configuration — `sweep worker panicked on config #i of n: <payload>`
+    /// — at any worker count, so a serving layer can tell which request
+    /// killed the pool.
     pub fn map_with<S, C, T>(
         &self,
         items: &[C],
@@ -214,93 +212,26 @@ impl SweepExecutor {
         C: Sync,
         T: Send,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            let mut state = make_state();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    catch_unwind(AssertUnwindSafe(|| f(&mut state, item, self.config_seed(i))))
-                        .unwrap_or_else(|payload| {
-                            panic!(
-                                "sweep worker panicked on config #{i} of {}: {}",
-                                items.len(),
-                                panic_payload_message(payload.as_ref())
-                            )
-                        })
-                })
-                .collect();
-        }
-
-        // Chunk length: ~4 claims per worker over the sweep balances cursor
-        // amortization against tail imbalance; capped so enormous sweeps
-        // still rebalance.
-        let chunk = items.len().div_ceil(workers * 4).clamp(1, 64);
-        let cursor = AtomicUsize::new(0);
         let slots = ResultSlots::new(items.len());
-        // A panicking closure aborts the sweep, but with a *diagnostic*:
-        // the unwind is caught in the worker, the failing configuration and
-        // chunk are recorded here (first panic wins), the other workers
-        // stop claiming, and the sweep re-panics after the join with the
-        // config index in the message. The opaque alternative — letting the
-        // unwind tear down the scope — would lose which request killed the
-        // pool, which a serving layer cannot afford.
-        let panic_note: Mutex<Option<String>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let run_worker = || {
-            // Worker state is built once per worker, outside the steal loop.
-            let mut state = make_state();
-            loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= items.len() {
-                    break;
-                }
-                let end = (start + chunk).min(items.len());
-                for (i, item) in (start..end).zip(&items[start..end]) {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        f(&mut state, item, self.config_seed(i))
-                    })) {
-                        // SAFETY: the `fetch_add` cursor hands out disjoint
-                        // chunks, so index `i` is claimed by this worker
-                        // alone and written exactly once — the contract of
-                        // `write`.
-                        Ok(out) => unsafe { slots.write(i, out) },
-                        Err(payload) => {
-                            let msg = format!(
-                                "sweep worker panicked on config #{i} \
-                                 (chunk {start}..{end} of {}): {}",
-                                items.len(),
-                                panic_payload_message(payload.as_ref())
-                            );
-                            lock_unpoisoned(&panic_note).get_or_insert(msg);
-                            abort.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
+        par::claim_chunks(items.len(), self.threads, make_state, |state, start, end| {
+            for (i, item) in (start..end).zip(&items[start..end]) {
+                let out = catch_unwind(AssertUnwindSafe(|| f(state, item, self.config_seed(i))))
+                    .unwrap_or_else(|payload| {
+                        panic!(
+                            "sweep worker panicked on config #{i} of {}: {}",
+                            items.len(),
+                            panic_payload_message(payload.as_ref())
+                        )
+                    });
+                // SAFETY: `claim_chunks` hands out disjoint index ranges, so
+                // index `i` is claimed by this worker alone and written
+                // exactly once — the contract of `write`.
+                unsafe { slots.write(i, out) };
             }
-        };
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| run_worker());
-            }
-        })
-        .expect("sweep scope panicked outside the worker catch-unwind");
-        if let Some(msg) = panic_note.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            // The slots are leaked, never read — see the `ResultSlots` doc.
-            panic!("{msg}");
-        }
-
-        // SAFETY: the scope joined every worker, no worker panicked, and
-        // all indices up to `items.len()` were claimed, so every slot is
-        // initialized.
+        });
+        // SAFETY: `claim_chunks` returned without panicking, so every index
+        // in `0..items.len()` was claimed, written, and published by the
+        // join of its worker.
         unsafe { slots.into_vec() }
     }
 

@@ -124,11 +124,17 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
-/// Parses JSON text into a [`Value`] tree.
+/// Deepest array/object nesting [`parse`] accepts (upstream serde_json's
+/// recursion limit). The parser recurses once per level, so without a cap
+/// a few kilobytes of `[` would overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses JSON text into a [`Value`] tree. Input nested deeper than
+/// [`MAX_DEPTH`] is rejected with an error.
 pub fn parse(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::custom(format!("trailing characters at byte {pos}")));
@@ -145,8 +151,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(Error::custom(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(Error::custom("unexpected end of input")),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -162,7 +174,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -194,7 +206,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::custom("expected `:` after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -341,5 +353,17 @@ mod tests {
             out
         };
         assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        // 60 000 unclosed `[` fit under the sweep daemon's 64 KiB body cap.
+        assert!(parse(&"[".repeat(60_000)).is_err());
     }
 }

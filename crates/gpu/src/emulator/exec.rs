@@ -37,8 +37,8 @@
 //! Blocks are independent (no inter-block communication in this model),
 //! so the grid is executed in parallel *across blocks* by a small worker
 //! pool whose width — the "wave" width, analogous to blocks resident
-//! across SMs — comes from [`WavePlan`]: the host's
-//! `available_parallelism`, optionally capped by the architecture's
+//! across SMs — comes from [`WavePlan`]: the host's parallelism
+//! ([`host_parallelism`]), optionally capped by the architecture's
 //! occupancy-limited resident-block count, and overridable for tests.
 //!
 //! The previous engine (one OS thread per CUDA thread) lives on in
@@ -48,7 +48,7 @@
 use super::mem::{BlockCounters, BufId, EventCounters, GlobalMem};
 use crate::arch::GpuArch;
 use crate::occupancy::Occupancy;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use enprop_kernels::par::{self, host_parallelism};
 
 /// A 2-D extent (grid or block dimensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -778,18 +778,13 @@ impl<S: AccessSink> PhaseCtx<'_, S> {
 /// The number of thread blocks a launch executes concurrently.
 ///
 /// Replaces the old hardcoded `WAVE_WIDTH = 4`: the width is derived from
-/// the host's `available_parallelism` — there is no point in more workers
-/// than cores — optionally capped by the modeled device's occupancy (the
+/// the host's parallelism ([`host_parallelism`]) — there is no point in
+/// more workers than cores — optionally capped by the modeled device's occupancy (the
 /// number of blocks that can actually be resident across its SMs), and
 /// overridable for tests via [`WavePlan::fixed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WavePlan {
     width: usize,
-}
-
-/// Host threads available to the process (1 if indeterminate).
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 impl WavePlan {
@@ -972,34 +967,11 @@ fn run_grid_with<K: BlockKernel, S: AccessSink + Default>(
     events: &EventCounters,
     plan: WavePlan,
 ) {
-    let blocks: Vec<(usize, usize)> =
-        (0..grid.y).flat_map(|by| (0..grid.x).map(move |bx| (bx, by))).collect();
-    let wave = plan.width().min(blocks.len());
-    if wave <= 1 {
-        for &(bx, by) in &blocks {
-            run_block::<K, S>(kernel, bx, by, events);
+    par::claim_chunks(grid.count(), plan.width(), || (), |_, start, end| {
+        for i in start..end {
+            run_block::<K, S>(kernel, i % grid.x, i / grid.x, events);
         }
-        return;
-    }
-
-    // Chunked claiming: amortize cursor traffic over runs of blocks.
-    let chunk = blocks.len().div_ceil(wave * 4).clamp(1, 64);
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..wave {
-            scope.spawn(|_| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= blocks.len() {
-                    break;
-                }
-                let end = (start + chunk).min(blocks.len());
-                for &(bx, by) in &blocks[start..end] {
-                    run_block::<K, S>(kernel, bx, by, events);
-                }
-            });
-        }
-    })
-    .expect("block wave panicked");
+    });
 }
 
 /// Runs `kernel` over `grid` blocks with `plan.width()` blocks in flight.
@@ -1244,6 +1216,13 @@ mod tests {
     fn divergent_phase_counts_fail_loudly() {
         let events = EventCounters::new();
         run_grid(Dim2::new(1, 1), &Divergent, &events, WavePlan::fixed(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "__syncthreads divergence")]
+    fn divergence_in_a_multi_worker_wave_keeps_its_message() {
+        let events = EventCounters::new();
+        run_grid(Dim2::new(4, 1), &Divergent, &events, WavePlan::fixed(2));
     }
 
     #[test]

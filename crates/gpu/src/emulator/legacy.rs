@@ -102,30 +102,28 @@ where
         (0..grid.y).flat_map(|by| (0..grid.x).map(move |bx| (bx, by))).collect();
 
     for wave in block_ids.chunks(LEGACY_WAVE) {
-        crossbeam::thread::scope(|outer| {
+        std::thread::scope(|outer| {
             for &(bx, by) in wave {
                 let kernel = &kernel;
-                outer.spawn(move |_| {
+                outer.spawn(move || {
                     let shared = SharedMem::zeroed(shared_len);
                     let barrier = Barrier::new(threads);
-                    crossbeam::thread::scope(|inner| {
+                    std::thread::scope(|inner| {
                         for ty in 0..block.y {
                             for tx in 0..block.x {
                                 let shared = &shared;
                                 let barrier = &barrier;
-                                inner.spawn(move |_| {
+                                inner.spawn(move || {
                                     let ctx =
                                         ThreadCtx { tx, ty, bx, by, shared, barrier, events };
                                     kernel(&ctx);
                                 });
                             }
                         }
-                    })
-                    .expect("kernel thread panicked");
+                    });
                 });
             }
-        })
-        .expect("block wave panicked");
+        });
     }
 }
 

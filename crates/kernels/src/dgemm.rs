@@ -138,7 +138,7 @@ pub fn dgemm_blocked_mt(
     }
 
     let c_base = par::SendPtr::new(c.as_mut_ptr());
-    par::claim_chunks(strips, workers, |s0, s1| {
+    par::claim_chunks(strips, workers, || (), |_, s0, s1| {
         let r0 = s0 * MR;
         let r1 = (s1 * MR).min(m);
         let rows = r1 - r0;

@@ -57,7 +57,7 @@ pub fn fft2d_parallel(data: &mut [Complex], n: usize, threads: usize) {
 /// the result: output is bitwise-identical at any thread count.
 fn parallel_rows(data: &mut [Complex], n: usize, threads: usize, tw: &Twiddles) {
     let base = par::SendPtr::new(data.as_mut_ptr());
-    par::claim_chunks(n, threads, |r0, r1| {
+    par::claim_chunks(n, threads, || (), |_, r0, r1| {
         // SAFETY: the claiming cursor hands out disjoint row ranges, so
         // this band is touched by exactly one worker; the scope join
         // inside `claim_chunks` publishes the writes.

@@ -17,7 +17,9 @@
 //!   `t` threads, A and C horizontally partitioned, B shared, no
 //!   inter-thread communication;
 //! * [`fft`] — iterative radix-2 complex FFT;
-//! * [`fft2d`] — parallel row–column 2-D FFT.
+//! * [`fft2d`] — parallel row–column 2-D FFT;
+//! * [`par`] — the chunk-claiming scheduler every parallel loop in the
+//!   workspace runs on.
 //!
 //! These kernels run at laptop-scale sizes; the simulators in
 //! `enprop-cpusim`/`enprop-gpusim` extrapolate timing and power to the
@@ -27,7 +29,7 @@ pub mod dgemm;
 pub mod fft;
 pub mod fft2d;
 pub mod matrix;
-mod par;
+pub mod par;
 pub mod threadgroup;
 
 pub use dgemm::{dgemm_blocked, dgemm_blocked_mt, dgemm_blocked_unpacked, dgemm_naive, simd_dispatch};

@@ -9,6 +9,7 @@
 
 use crate::dgemm::{dgemm_blocked, dgemm_flops};
 use crate::matrix::Matrix;
+use std::panic::resume_unwind;
 use std::time::Instant;
 
 /// Configuration of the parallel run.
@@ -84,25 +85,24 @@ pub fn dgemm_threadgroups(
     let mut c_refs = c.row_bands_flat_mut(&a_bands);
 
     let start = Instant::now();
-    let mut thread_seconds = vec![0.0; total];
-    crossbeam::thread::scope(|scope| {
+    let thread_seconds = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(total);
         for (idx, c_band) in c_refs.drain(..).enumerate() {
             let (row0, rows) = a_bands[idx];
             let a_slice = &a.as_slice()[row0 * n..(row0 + rows) * n];
             let b_slice = b.as_slice();
             let bs = cfg.block_size;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let t0 = Instant::now();
                 dgemm_blocked(1.0, a_slice, b_slice, 0.0, c_band, rows, n, n, bs);
                 t0.elapsed().as_secs_f64()
             }));
         }
-        for (i, h) in handles.into_iter().enumerate() {
-            thread_seconds[i] = h.join().expect("worker thread panicked");
-        }
-    })
-    .expect("thread scope failed");
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
     let wall_seconds = start.elapsed().as_secs_f64();
 
     debug_assert_eq!(c_bands_check.iter().map(|r| r.1).sum::<usize>(), n);

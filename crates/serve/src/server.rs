@@ -601,12 +601,10 @@ fn compute_streaming(
         })
         .collect();
 
-    let threads = if state.config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        state.config.threads
-    };
-    let exec = SweepExecutor::new(request.seed).with_threads(threads);
+    let mut exec = SweepExecutor::new(request.seed);
+    if state.config.threads != 0 {
+        exec = exec.with_threads(state.config.threads);
+    }
 
     let mut body: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut writer = stream.and_then(|s| {

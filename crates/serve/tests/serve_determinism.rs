@@ -8,9 +8,10 @@
 
 use enprop_serve::http::{http_request, read_response};
 use enprop_serve::{run_load, LoadOptions, ServeConfig, Server, SweepRequest};
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -42,6 +43,13 @@ fn request_body(seed: u64, no_cache: bool) -> String {
     .to_json()
 }
 
+/// Starts a daemon on an ephemeral loopback port. A bind failure fails the
+/// test: these tests need a socket, and a skip would pass silently.
+fn start_server(config: ServeConfig) -> Server {
+    Server::start(config, "127.0.0.1:0")
+        .unwrap_or_else(|e| panic!("cannot bind a loopback socket: {e}"))
+}
+
 fn post_sweep(server: &Server, body: &str) -> (u16, Option<String>, Vec<u8>) {
     let response = http_request(server.addr(), "POST", "/sweep", body.as_bytes())
         .expect("sweep request should complete");
@@ -51,13 +59,7 @@ fn post_sweep(server: &Server, body: &str) -> (u16, Option<String>, Vec<u8>) {
 
 #[test]
 fn cold_warm_and_bypassed_responses_are_bitwise_identical() {
-    let server = match Server::start(quick_config(), "127.0.0.1:0") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("SKIP: cannot bind a loopback socket here: {e}");
-            return;
-        }
-    };
+    let server = start_server(quick_config());
 
     let (status, cache, cold) = post_sweep(&server, &request_body(7, false));
     assert_eq!(status, 200);
@@ -91,13 +93,7 @@ fn cold_warm_and_bypassed_responses_are_bitwise_identical() {
 
 #[test]
 fn eight_concurrent_clients_get_identical_bodies() {
-    let server = match Server::start(quick_config(), "127.0.0.1:0") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("SKIP: cannot bind a loopback socket here: {e}");
-            return;
-        }
-    };
+    let server = start_server(quick_config());
     let addr = server.addr();
     let body = request_body(21, false);
     let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
@@ -125,13 +121,7 @@ fn eight_concurrent_clients_get_identical_bodies() {
 
 #[test]
 fn load_generator_reports_hits_and_identical_hot_bodies() {
-    let server = match Server::start(quick_config(), "127.0.0.1:0") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("SKIP: cannot bind a loopback socket here: {e}");
-            return;
-        }
-    };
+    let server = start_server(quick_config());
     let options = LoadOptions {
         clients: 4,
         requests_per_client: 4,
@@ -154,13 +144,7 @@ fn load_generator_reports_hits_and_identical_hot_bodies() {
 
 #[test]
 fn malformed_and_invalid_requests_get_typed_400s_and_the_daemon_survives() {
-    let server = match Server::start(quick_config(), "127.0.0.1:0") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("SKIP: cannot bind a loopback socket here: {e}");
-            return;
-        }
-    };
+    let server = start_server(quick_config());
 
     // Bad JSON body.
     let r = http_request(server.addr(), "POST", "/sweep", b"this is not json").unwrap();
@@ -201,13 +185,7 @@ fn malformed_and_invalid_requests_get_typed_400s_and_the_daemon_survives() {
 /// clean typed 400, never hang a handler or kill the daemon.
 #[test]
 fn torn_requests_get_a_typed_400_without_wedging_the_daemon() {
-    let server = match Server::start(quick_config(), "127.0.0.1:0") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("SKIP: cannot bind a loopback socket here: {e}");
-            return;
-        }
-    };
+    let server = start_server(quick_config());
 
     // Torn head: the request line stops mid-token and the client half-closes.
     {
@@ -260,13 +238,7 @@ fn persistent_cache_survives_restart_and_torn_tail() {
     let dir = temp_dir("restart");
     let config = ServeConfig { cache_dir: Some(dir.clone()), ..quick_config() };
 
-    let server_a = match Server::start(config.clone(), "127.0.0.1:0") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("SKIP: cannot bind a loopback socket here: {e}");
-            return;
-        }
-    };
+    let server_a = start_server(config.clone());
     let (status, cache, original) = post_sweep(&server_a, &request_body(11, false));
     assert_eq!(status, 200);
     assert_eq!(cache.as_deref(), Some("miss"));
@@ -281,7 +253,7 @@ fn persistent_cache_survives_restart_and_torn_tail() {
         file.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01]).unwrap();
     }
 
-    let server_b = Server::start(config, "127.0.0.1:0").expect("restart should bind");
+    let server_b = start_server(config);
     let report = server_b.cache_load_report();
     assert_eq!(report.replayed, 1, "the durable entry must replay");
     assert!(report.torn_tail_bytes > 0, "the torn tail must be noticed");
@@ -311,13 +283,7 @@ fn persistent_cache_survives_restart_and_torn_tail() {
 
 #[test]
 fn healthz_and_stats_answer() {
-    let server = match Server::start(quick_config(), "127.0.0.1:0") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("SKIP: cannot bind a loopback socket here: {e}");
-            return;
-        }
-    };
+    let server = start_server(quick_config());
     let r = http_request(server.addr(), "GET", "/healthz", b"").unwrap();
     assert_eq!(r.status, 200);
     assert_eq!(r.body, b"ok\n");
@@ -331,4 +297,57 @@ fn healthz_and_stats_answer() {
     assert!(text.contains("\"sweeps\": 1"), "{text}");
     assert!(text.contains("\"cache_misses\": 1"), "{text}");
     server.shutdown();
+}
+
+/// An `enprop-serve` daemon in a child process, killed on drop — so a
+/// request that aborts the daemon fails this test instead of the harness.
+struct Daemon {
+    child: Child,
+    addr: SocketAddr,
+    // Held open so the daemon's later banner lines don't hit a closed pipe.
+    _stdout: BufReader<ChildStdout>,
+}
+
+impl Daemon {
+    fn spawn() -> Self {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_enprop-serve"))
+            .args(["--addr", "127.0.0.1:0", "--threads", "1"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn enprop-serve");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        let addr = line
+            .trim()
+            .strip_prefix("enprop-serve: listening on http://")
+            .unwrap_or_else(|| panic!("unexpected daemon banner {line:?}"))
+            .parse()
+            .unwrap();
+        Daemon { child, addr, _stdout: stdout }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A body of 60 000 `[` fits under the body cap but nests far deeper than
+/// the JSON parser allows. It must be a typed 400, not a stack overflow
+/// that takes the daemon down.
+#[test]
+fn deeply_nested_json_body_gets_a_400_and_the_daemon_keeps_serving() {
+    let mut daemon = Daemon::spawn();
+    let body = vec![b'['; 60_000];
+    let r = http_request(daemon.addr, "POST", "/sweep", &body).expect("daemon should answer");
+    assert_eq!(r.status, 400);
+    let text = String::from_utf8_lossy(&r.body).to_string();
+    assert!(text.contains("nesting deeper than"), "{text}");
+
+    let r = http_request(daemon.addr, "GET", "/healthz", b"").expect("daemon should still serve");
+    assert_eq!(r.status, 200);
+    assert_eq!(daemon.child.try_wait().unwrap(), None, "the daemon must still be running");
 }
