@@ -1,8 +1,6 @@
 //! Microbenchmark of the functional GPU emulator running the paper's
 //! Fig. 5 kernel, across tile sizes — the executable form of the kernel
-//! whose analytic model drives Figs. 2, 6, 7, 8 — plus an old-vs-new
-//! engine comparison (retired OS-thread engine vs the barrier-phase
-//! interpreter) at one fixed shape.
+//! whose analytic model drives Figs. 2, 6, 7, 8.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use enprop_gpusim::emulator::{EmuDgemm, GlobalMem};
@@ -26,29 +24,6 @@ fn bench_emulator(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-
-    // Engine comparison at one shape small enough for the legacy engine's
-    // OS-thread spawns to stay benchable.
-    let mut g = c.benchmark_group("emulator_engines");
-    g.sample_size(10);
-    let emu = EmuDgemm::new(TiledDgemmConfig { n, bs: 8, g: 1, r: 1 });
-    g.bench_function("phase", |bch| {
-        bch.iter(|| {
-            let a = GlobalMem::from_slice(&host_a);
-            let b = GlobalMem::from_slice(&host_b);
-            let cm = GlobalMem::zeroed(n * n);
-            emu.run(&a, &b, &cm)
-        })
-    });
-    g.bench_function("legacy", |bch| {
-        bch.iter(|| {
-            let a = GlobalMem::from_slice(&host_a);
-            let b = GlobalMem::from_slice(&host_b);
-            let cm = GlobalMem::zeroed(n * n);
-            emu.run_legacy(&a, &b, &cm)
-        })
-    });
     g.finish();
 }
 

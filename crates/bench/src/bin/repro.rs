@@ -4,7 +4,7 @@
 //! repro [all|table1|fig1|fig2|fig4|fig6|fig7|fig8|theory|headline|bench-json|sanitize|
 //!        verify-static|serve]
 //!       [--json DIR] [--measured [SEED]] [--threads N] [--faults [RATE]] [--check]
-//!       [--checkpoint DIR] [--resume] [--all] [--full] [--self-test] [--sample K]
+//!       [--checkpoint DIR] [--resume] [--all] [--self-test] [--sample K]
 //!       [--port PORT] [--cache DIR]
 //! ```
 //!
@@ -31,16 +31,11 @@
 //!
 //! The `bench-json` subcommand times (a) the Fig. 7 measured sweep
 //! serially and in parallel, verifying both produce identical results,
-//! (b) the functional emulator running tiled DGEMM on the retired
-//! OS-thread engine vs the barrier-phase interpreter (N = 128 by default
-//! — the OS-thread engine spawns one thread per CUDA thread and dominates
-//! the benchmark's wall-clock; `--full` restores the historical N = 256
-//! workload; either way the JSON `workload` string names the size used),
-//! and (c) a fault-injection smoke sweep — the K40c N = 8704 workload (102
+//! (b) a fault-injection smoke sweep — the K40c N = 8704 workload (102
 //! configurations) under a 5% transient-failure rate with the default
 //! 3-attempt retry policy, run at 1, 2, and 8 threads and compared for
 //! exact equality of both the surviving points and the exhausted-retry
-//! set, and (d) a checkpoint-recovery drill — the same fault sweep run
+//! set, and (c) a checkpoint-recovery drill — the same fault sweep run
 //! journaled, killed mid-journal by deterministic crash injection (the
 //! final record torn), then resumed at 1, 2, and 8 threads and compared
 //! bitwise against the uninterrupted run, with the journal's wall-clock
@@ -65,8 +60,8 @@
 //! threads (enforced only when the host has ≥ 4 cores — on fewer cores
 //! wall-clock speedup is physically impossible and the gate reduces to
 //! the bitwise-identity check; the skip is recorded in the JSON as a
-//! self-describing `speedup_gate` object), phase-interpreter speedup over
-//! the legacy engine < 10×, batched-vs-scalar emulator speedup < 2×,
+//! self-describing `speedup_gate` object), batched-vs-scalar emulator
+//! speedup < 2×,
 //! explicit-SIMD speedup over the pinned scalar-sse2 batch bodies < 1.3×
 //! (skipped self-describingly when the host dispatches scalar-sse2),
 //! packed-vs-unpacked DGEMM speedup < 1.5×, a multi-threaded host kernel
@@ -151,13 +146,12 @@ const SANITIZE_SAMPLE_SEED: u64 = 42;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which = "all".to_string();
+    let mut which: Option<String> = None;
     let mut json_dir: Option<String> = None;
     let mut measured: Option<u64> = None;
     let mut threads: Option<usize> = None;
     let mut faults: Option<f64> = None;
     let mut check = false;
-    let mut full = false;
     let mut sanitize_all = false;
     let mut self_test = false;
     let mut sample_k: Option<u64> = None;
@@ -178,14 +172,14 @@ fn main() {
             }
             "--resume" => resume = true,
             "--all" => sanitize_all = true,
-            "--full" => full = true,
             "--self-test" => self_test = true,
             "--sample" => {
                 let k = it
                     .next()
                     .and_then(|s| s.parse::<u64>().ok())
+                    .filter(|&k| k > 0)
                     .unwrap_or_else(|| usage("--sample requires a positive integer K"));
-                sample_k = Some(k.max(1));
+                sample_k = Some(k);
             }
             "--measured" => {
                 let seed = it
@@ -201,8 +195,9 @@ fn main() {
                 let n = it
                     .next()
                     .and_then(|s| s.parse::<usize>().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("--threads requires a positive integer"));
-                threads = Some(n.max(1));
+                threads = Some(n);
             }
             "--faults" => {
                 let rate = it
@@ -228,9 +223,16 @@ fn main() {
                     Some(it.next().unwrap_or_else(|| usage("missing --cache DIR")))
             }
             "-h" | "--help" => usage(""),
-            other => which = other.to_string(),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag '{flag}'")),
+            name => {
+                if let Some(first) = &which {
+                    usage(&format!("more than one artifact: '{first}' and '{name}'"));
+                }
+                which = Some(name.to_string());
+            }
         }
     }
+    let which = which.unwrap_or_else(|| "all".to_string());
 
     if resume && checkpoint_dir.is_none() {
         usage("--resume requires --checkpoint DIR");
@@ -246,7 +248,6 @@ fn main() {
             faults.unwrap_or(DEFAULT_FAULT_RATE),
             json_dir.as_deref(),
             check,
-            full,
         );
         return;
     }
@@ -591,20 +592,6 @@ struct SweepBench {
 }
 
 #[derive(serde::Serialize)]
-struct EmulatorBench {
-    workload: String,
-    blocks: usize,
-    /// SIMD tier the phase interpreter's batched bodies dispatched to.
-    simd_dispatch: String,
-    legacy_secs: f64,
-    phase_secs: f64,
-    legacy_blocks_per_sec: f64,
-    phase_blocks_per_sec: f64,
-    speedup: f64,
-    results_identical: bool,
-}
-
-#[derive(serde::Serialize)]
 struct FaultSmoke {
     workload: String,
     fault_rate: f64,
@@ -685,7 +672,7 @@ struct EmulatorBatchBench {
     blocks: usize,
     /// SIMD tier the production batched bodies dispatched to.
     simd_dispatch: String,
-    /// Scalar per-thread phase loop (`ScalarProbe` baseline), best of 3.
+    /// Scalar per-thread phase loop (`run_unbatched` baseline), best of 3.
     scalar_secs: f64,
     /// Batched SoA phase bodies (the production `NoSink` path, explicit
     /// SIMD at `simd_dispatch`), best of 3.
@@ -884,7 +871,6 @@ struct BenchReport {
     /// wall-clock parallel speedup reported below.
     host_cores: usize,
     sweep: SweepBench,
-    emulator: EmulatorBench,
     emulator_batch: EmulatorBatchBench,
     host_kernels: HostKernelsBench,
     host_kernels_mt: HostKernelsMt,
@@ -946,16 +932,14 @@ struct StaticVerifyBench {
 }
 
 /// Times the Fig. 7 measured workload (K40c, N = 8704 and 10240) serially
-/// and in parallel, checks bitwise identity; times the emulator old-vs-new
-/// engines on tiled DGEMM (N = 128, or 256 with `full`); writes
-/// `BENCH_sweep.json`. With `check`, exits non-zero on a perf regression
+/// and in parallel, checks bitwise identity; runs the remaining sections;
+/// writes `BENCH_sweep.json`. With `check`, exits non-zero on a perf regression
 /// (see module docs).
 fn bench_sweep(
     threads: Option<usize>,
     fault_rate: f64,
     json_dir: Option<&str>,
     check: bool,
-    full: bool,
 ) {
     let host_cores = enprop_kernels::par::host_parallelism();
 
@@ -1023,22 +1007,6 @@ fn bench_sweep(
         sweep.bitwise_identical
     );
     assert!(bitwise_identical, "parallel sweep diverged from serial output");
-
-    let emulator = bench_emulator_engines(full);
-    println!(
-        "emulator: {} ({} blocks, {}): legacy {:.2}s ({:.0} blk/s), \
-         phase {:.3}s ({:.0} blk/s), speedup {:.1}x, identical: {}",
-        emulator.workload,
-        emulator.blocks,
-        emulator.simd_dispatch,
-        emulator.legacy_secs,
-        emulator.legacy_blocks_per_sec,
-        emulator.phase_secs,
-        emulator.phase_blocks_per_sec,
-        emulator.speedup,
-        emulator.results_identical
-    );
-    assert!(emulator.results_identical, "phase engine diverged from legacy engine");
 
     let emulator_batch = bench_emulator_batch();
     println!(
@@ -1257,7 +1225,6 @@ fn bench_sweep(
     let report = BenchReport {
         host_cores,
         sweep,
-        emulator,
         emulator_batch,
         host_kernels,
         host_kernels_mt,
@@ -1279,56 +1246,6 @@ fn bench_sweep(
 
     if check {
         run_perf_gate(&report);
-    }
-}
-
-/// Old-vs-new engine comparison: tiled DGEMM at BS = 16 — a grid of
-/// 256-thread blocks through the retired OS-thread engine and the phase
-/// interpreter, same inputs, results compared bitwise. Defaults to
-/// N = 128 (an 8 × 8 grid): the OS-thread engine spawns one OS thread per
-/// CUDA thread and used to spend ~15 s of the benchmark's wall-clock on
-/// the N = 256 workload; `full` restores that historical size. The
-/// workload string names the size actually used.
-fn bench_emulator_engines(full: bool) -> EmulatorBench {
-    let n = if full { 256usize } else { 128 };
-    let bs = 16usize;
-    let cfg = TiledDgemmConfig { n, bs, g: 1, r: 1 };
-    let blocks = (n / bs) * (n / bs);
-    let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
-    let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let emu = EmuDgemm::new(cfg);
-
-    let (a, b, c_legacy) =
-        (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b), GlobalMem::zeroed(n * n));
-    let start = Instant::now();
-    emu.run_legacy(&a, &b, &c_legacy);
-    let legacy_secs = start.elapsed().as_secs_f64();
-
-    // The phase run is fast enough to jitter; take the best of three.
-    let mut phase_secs = f64::INFINITY;
-    let mut c_phase = GlobalMem::zeroed(n * n);
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        emu.with_wave(WavePlan::auto()).run(&a, &b, &c);
-        phase_secs = phase_secs.min(start.elapsed().as_secs_f64());
-        c_phase = c;
-    }
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    EmulatorBench {
-        workload: format!(
-            "tiled DGEMM (N = {n}, BS = {bs}, G = 1, R = 1{})",
-            if full { "" } else { "; default-reduced, --full restores N = 256" }
-        ),
-        blocks,
-        simd_dispatch: SimdPath::detect().as_str().to_string(),
-        legacy_secs,
-        phase_secs,
-        legacy_blocks_per_sec: blocks as f64 / legacy_secs,
-        phase_blocks_per_sec: blocks as f64 / phase_secs,
-        speedup: legacy_secs / phase_secs,
-        results_identical: bits(&c_legacy) == bits(&c_phase),
     }
 }
 
@@ -1376,6 +1293,7 @@ fn bench_sanitize_overhead() -> SanitizeOverhead {
             &a,
             &b,
             &c,
+            |_, _| true,
             |_, _| {
                 monitor.begin_block();
                 monitor.sink()
@@ -1693,7 +1611,7 @@ fn bench_sanitize_sampled() -> SanitizeSampled {
             let monitor = enprop_sanitize::LaunchMonitor::new(table, 2 * bs * bs);
             let mut count = 0usize;
             let start = Instant::now();
-            emu.run_monitored_sampled(
+            emu.run_monitored(
                 &a,
                 &b,
                 &c,
@@ -1795,6 +1713,7 @@ fn bench_sanitize_batched() -> SanitizeBatched {
             &a,
             &b,
             &c,
+            |_, _| true,
             |_, _| {
                 monitor.begin_block();
                 monitor.sink()
@@ -1824,6 +1743,7 @@ fn bench_sanitize_batched() -> SanitizeBatched {
             &a,
             &b,
             &c,
+            |_, _| true,
             |_, _| {
                 monitor.begin_block();
                 ForceScalar(monitor.sink())
@@ -2026,13 +1946,6 @@ fn bench_checkpoint_recovery(fault_rate: f64) -> CheckpointRecovery {
 /// regression like PR 2's 0.98× sweep "speedup" cannot land silently.
 fn run_perf_gate(report: &BenchReport) {
     let mut failures = Vec::new();
-
-    if report.emulator.speedup < 10.0 {
-        failures.push(format!(
-            "emulator phase-interpreter speedup {:.1}x over the legacy engine is below 10x",
-            report.emulator.speedup
-        ));
-    }
 
     let batch = &report.emulator_batch;
     if batch.speedup < 2.0 {
@@ -2719,7 +2632,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: repro [all|table1|fig1|fig2|fig4|fig6|fig7|fig8|theory|headline|bench-json|\
          sanitize|verify-static|serve] [--json DIR] [--measured [SEED]] [--threads N] [--faults [RATE]] \
-         [--check] [--checkpoint DIR] [--resume] [--all] [--full] [--self-test] [--sample K] \
+         [--check] [--checkpoint DIR] [--resume] [--all] [--self-test] [--sample K] \
          [--port PORT] [--cache DIR]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });

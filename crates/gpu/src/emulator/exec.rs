@@ -25,14 +25,14 @@
 //! un-instrumented code — zero overhead. `crates/sanitizer` builds its
 //! racecheck/memcheck analyses on this trait.
 //!
-//! The barrier-misuse detection the OS-thread engine got from a real
-//! barrier (deadlock) is preserved, but *loudly*: if the threads of a
-//! block disagree on whether another phase follows — some return
-//! [`PhaseOutcome::Sync`], others [`PhaseOutcome::Done`] — the plain
-//! interpreter panics with a diagnostic instead of hanging, while the
-//! monitored interpreter ([`run_grid_monitored`]) returns the divergence
-//! as a structured [`BlockExit::Diverged`] naming the early-retired
-//! threads (the sanitizer's synccheck).
+//! Barrier misuse, which deadlocks a real `__syncthreads`, fails
+//! *loudly* here: if the threads of a block disagree on whether another
+//! phase follows — some return [`PhaseOutcome::Sync`], others
+//! [`PhaseOutcome::Done`] — the plain interpreter panics with a
+//! diagnostic instead of hanging, while the monitored interpreter
+//! ([`run_grid_monitored`]) returns the divergence as a structured
+//! [`BlockExit::Diverged`] naming the early-retired threads (the
+//! sanitizer's synccheck).
 //!
 //! Blocks are independent (no inter-block communication in this model),
 //! so the grid is executed in parallel *across blocks* by a small worker
@@ -40,10 +40,6 @@
 //! across SMs — comes from [`WavePlan`]: the host's parallelism
 //! ([`host_parallelism`]), optionally capped by the architecture's
 //! occupancy-limited resident-block count, and overridable for tests.
-//!
-//! The previous engine (one OS thread per CUDA thread) lives on in
-//! [`super::legacy`] solely so equivalence tests can assert the two
-//! engines produce identical results and event counts.
 
 use super::mem::{BlockCounters, BufId, EventCounters, GlobalMem};
 use crate::arch::GpuArch;
@@ -428,47 +424,13 @@ impl AccessSink for NoSink {
     }
 }
 
-/// A transparent sink that is deliberately **not** inert: every hook
-/// answers `true` from an empty body, but `INERT` stays `false`, so the
-/// interpreter keeps the per-thread scalar loop even for kernels that
-/// carry a batched body.
-///
-/// This is the "before" side of the batched-vs-scalar benchmark and the
-/// oracle of the batch-equivalence suite: a [`ScalarProbe`] run executes
-/// exactly the pre-batching code path, letting tests assert that the
-/// batched fast path is bitwise-identical (memory contents *and* flushed
-/// event counters) to the scalar interpreter it replaced.
-#[derive(Debug, Default, Clone, Copy)]
-#[must_use]
-pub struct ScalarProbe;
-
-impl AccessSink for ScalarProbe {
-    #[inline(always)]
-    fn shared_load(&mut self, _at: AccessPoint, _idx: usize, _len: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn shared_store(&mut self, _at: AccessPoint, _idx: usize, _len: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn global_load(&mut self, _at: AccessPoint, _buf: BufId, _idx: usize, _len: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn global_store(&mut self, _at: AccessPoint, _buf: BufId, _idx: usize, _len: usize) -> bool {
-        true
-    }
-}
-
 /// Pins any sink to the per-thread scalar loop by masking its bulk
 /// capability: `INERT` and `BULK` both stay `false` whatever the wrapped
 /// sink declares, so every access flows through the scalar hooks one by
-/// one. The "before" side of the batched-monitored benchmark and the
-/// oracle for monitored batch equivalence.
+/// one. `ForceScalar<NoSink>` is the uninstrumented scalar loop behind
+/// [`run_grid_unbatched`] — the "before" side of the batched-vs-scalar
+/// benchmarks and the oracle of the batch-equivalence suites — and
+/// `ForceScalar<S>` the oracle for monitored batch equivalence.
 #[derive(Debug, Default)]
 #[must_use]
 pub struct ForceScalar<S>(pub S);
@@ -997,54 +959,30 @@ pub fn run_grid_unbatched<K: BlockKernel>(
     events: &EventCounters,
     plan: WavePlan,
 ) {
-    run_grid_with::<K, ScalarProbe>(grid, kernel, events, plan)
+    run_grid_with::<K, ForceScalar<NoSink>>(grid, kernel, events, plan)
 }
 
-/// Runs `kernel` over `grid` under instrumentation: each block gets a
-/// fresh sink from `make_sink(bx, by)`, executes to retirement *or*
-/// structured divergence ([`BlockExit`]), and hands the sink back through
-/// `collect`.
+/// Runs `kernel` over `grid` under instrumentation. Blocks for which
+/// `select(bx, by)` answers `true` get a fresh sink from
+/// `make_sink(bx, by)`, execute to retirement *or* structured divergence
+/// ([`BlockExit`]), and hand the sink back through `collect`; the rest
+/// run uninstrumented on the fast path ([`NoSink`], batched where the
+/// kernel supports it) and never touch the monitor. Full monitoring
+/// passes `|_, _| true`.
 ///
 /// Blocks run serially in row-major order on the calling thread, so the
 /// access stream each sink observes — and therefore every diagnostic the
 /// sanitizer derives from it — is deterministic. Sanitized runs trade the
 /// block-wave parallelism for reproducible reports; the uninstrumented
 /// path through [`run_grid`] is untouched.
-pub fn run_grid_monitored<K, S, MF, CF>(
-    grid: Dim2,
-    kernel: &K,
-    events: &EventCounters,
-    mut make_sink: MF,
-    mut collect: CF,
-) where
-    K: BlockKernel,
-    S: AccessSink,
-    MF: FnMut(usize, usize) -> S,
-    CF: FnMut(usize, usize, S, BlockExit),
-{
-    for by in 0..grid.y {
-        for bx in 0..grid.x {
-            let mut sink = make_sink(bx, by);
-            let exit = exec_block(kernel, bx, by, events, &mut sink);
-            collect(bx, by, sink, exit);
-        }
-    }
-}
-
-/// [`run_grid_monitored`] with per-block sampling: blocks for which
-/// `select(bx, by)` answers `true` run fully instrumented (sink created,
-/// every access observed, exit collected); the rest run uninstrumented on
-/// the fast path ([`NoSink`], batched where the kernel supports it) and
-/// never touch the monitor.
 ///
-/// This is the sanitizer's production-scale mode: monitoring 1-in-k
-/// blocks keeps the shadow-memory cost proportional to the sample while
-/// the unsampled blocks still execute (and still count events), so the
-/// launch's results are identical to an unmonitored run. Unselected
-/// blocks are invisible to the checkers — see DESIGN.md for what 1-in-k
-/// sampling can and cannot catch. Blocks still run serially in row-major
-/// order, so sampled diagnostics stay deterministic.
-pub fn run_grid_monitored_sampled<K, S, PF, MF, CF>(
+/// Monitoring 1-in-k blocks is the sanitizer's production-scale mode: the
+/// shadow-memory cost stays proportional to the sample while unselected
+/// blocks still execute (and still count events), so the launch's
+/// results are identical to an unmonitored run. Unselected blocks are
+/// invisible to the checkers — see DESIGN.md for what 1-in-k sampling
+/// can and cannot catch.
+pub fn run_grid_monitored<K, S, PF, MF, CF>(
     grid: Dim2,
     kernel: &K,
     events: &EventCounters,
@@ -1065,11 +1003,11 @@ pub fn run_grid_monitored_sampled<K, S, PF, MF, CF>(
                 let exit = exec_block(kernel, bx, by, events, &mut sink);
                 collect(bx, by, sink, exit);
             } else {
-                // Unsampled blocks run to retirement on the fast path. A
-                // divergence here stops the block (as in the monitored
-                // interpreter) but is not reported — that is precisely
-                // the 1-in-k blind spot the sampling-soundness argument
-                // documents, and why the self-test corpus never samples.
+                // Unselected blocks run to retirement on the fast path. A
+                // divergence here stops the block (as in a monitored one)
+                // but is not reported — that is precisely the 1-in-k
+                // blind spot the sampling-soundness argument documents,
+                // and why the self-test corpus never samples.
                 let _ = exec_block(kernel, bx, by, events, &mut NoSink);
             }
         }
@@ -1180,8 +1118,50 @@ mod tests {
         }
     }
 
+    /// Each block increments shared slot 0 once and publishes it: if
+    /// shared memory leaked across blocks the value would accumulate.
+    struct SharedIncrement<'a> {
+        out: &'a GlobalMem,
+    }
+
+    impl BlockKernel for SharedIncrement<'_> {
+        type State = ();
+
+        fn block(&self) -> Dim2 {
+            Dim2::new(1, 1)
+        }
+
+        fn shared_len(&self) -> usize {
+            1
+        }
+
+        fn init(&self, _bx: usize, _by: usize, _tx: usize, _ty: usize) {}
+
+        fn run_phase<S: AccessSink>(
+            &self,
+            _p: usize,
+            _s: &mut (),
+            ctx: &mut PhaseCtx<'_, S>,
+        ) -> PhaseOutcome {
+            let v = ctx.shared_load(0) + 1.0;
+            ctx.shared_store(0, v);
+            ctx.global_store(self.out, ctx.bx, v);
+            PhaseOutcome::Done
+        }
+    }
+
+    #[test]
+    fn shared_memory_is_fresh_per_block() {
+        for wave in [1usize, 2] {
+            let out = GlobalMem::zeroed(4);
+            let k = SharedIncrement { out: &out };
+            run_grid(Dim2::new(4, 1), &k, &EventCounters::new(), WavePlan::fixed(wave));
+            assert_eq!(out.to_vec(), vec![1.0; 4], "wave {wave}");
+        }
+    }
+
     /// Threads disagree on phase count: tx 0 wants a second phase, the
-    /// rest return — the misuse the old engine punished with a deadlock.
+    /// rest return — the misuse real hardware punishes with a deadlock.
     struct Divergent;
 
     impl BlockKernel for Divergent {
@@ -1233,6 +1213,7 @@ mod tests {
             Dim2::new(1, 1),
             &Divergent,
             &events,
+            |_, _| true,
             |_, _| NoSink,
             |bx, by, _sink, exit| exits.push((bx, by, exit)),
         );
@@ -1288,6 +1269,7 @@ mod tests {
             Dim2::new(1, 1),
             &k,
             &events,
+            |_, _| true,
             |_, _| Recorder::default(),
             |_, _, sink, exit| {
                 assert_eq!(exit, BlockExit::Retired);
@@ -1358,6 +1340,7 @@ mod tests {
             Dim2::new(1, 1),
             &SharedOob,
             &events,
+            |_, _| true,
             |_, _| Recorder::default(),
             |_, _, sink, exit| {
                 assert_eq!(exit, BlockExit::Retired);
@@ -1552,6 +1535,7 @@ mod tests {
             Dim2::new(1, 1),
             &k,
             &scalar_events,
+            |_, _| true,
             |_, _| Recorder::default(),
             |_, _, sink, exit| {
                 assert_eq!(exit, BlockExit::Retired);
@@ -1570,6 +1554,7 @@ mod tests {
             Dim2::new(1, 1),
             &bk,
             &bulk_events,
+            |_, _| true,
             |_, _| BulkRecorder::default(),
             |_, _, sink, exit| {
                 assert_eq!(exit, BlockExit::Retired);
@@ -1596,6 +1581,7 @@ mod tests {
             Dim2::new(1, 1),
             &bk,
             &events,
+            |_, _| true,
             |_, _| ForceScalar(BulkRecorder::default()),
             |_, _, sink, exit| {
                 assert_eq!(exit, BlockExit::Retired);

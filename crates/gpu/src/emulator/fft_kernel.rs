@@ -11,14 +11,12 @@
 //!
 //! On the phase interpreter the kernel is a three-step state machine —
 //! bit-reversed *load*, one *butterfly* phase per stage, *store* — with
-//! the stage length carried in per-thread state. The original closure
-//! form survives in [`EmuRowFft::run_legacy`] for old-vs-new equivalence.
+//! the stage length carried in per-thread state.
 
 use super::exec::{
-    run_grid, run_grid_monitored, run_grid_monitored_sampled, run_grid_unbatched, AccessSink,
-    BatchCtx, BlockExit, BlockKernel, Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
+    run_grid, run_grid_monitored, run_grid_unbatched, AccessSink, BatchCtx, BlockExit,
+    BlockKernel, Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
 };
-use super::legacy;
 use super::mem::{EmuEvents, EventCounters, GlobalMem};
 use super::simd::SimdPath;
 
@@ -68,13 +66,7 @@ impl EmuRowFft {
     /// interleaved doubles (`2 · rows · n` cells), transformed in place.
     /// Returns the launch's event counts.
     pub fn run(&self, data: &GlobalMem) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
-        let events = EventCounters::new();
-        let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid(Dim2::new(1, rows), &kernel, &events, self.wave);
-        events.snapshot()
+        self.launch(data, |grid, kernel, events| run_grid(grid, kernel, events, self.wave))
     }
 
     /// [`run`](EmuRowFft::run) with the batched fast path disabled
@@ -83,123 +75,44 @@ impl EmuRowFft {
     /// and equivalence oracle; bitwise-identical to [`run`](EmuRowFft::run)
     /// by contract.
     pub fn run_unbatched(&self, data: &GlobalMem) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
-        let events = EventCounters::new();
-        let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid_unbatched(Dim2::new(1, rows), &kernel, &events, self.wave);
-        events.snapshot()
+        self.launch(data, |grid, kernel, events| {
+            run_grid_unbatched(grid, kernel, events, self.wave)
+        })
     }
 
-    /// [`run_monitored`](EmuRowFft::run_monitored) with per-block sampling
-    /// ([`run_grid_monitored_sampled`]): blocks selected by `select` run
-    /// fully instrumented, the rest take the uninstrumented (batched) fast
-    /// path. Results and event counts stay identical to an unmonitored
-    /// run; only checker *coverage* is sampled.
-    pub fn run_monitored_sampled<S: AccessSink>(
+    /// Launches the kernel under instrumentation ([`run_grid_monitored`]):
+    /// blocks selected by `select` report every access to a per-block
+    /// sink, and each such block's sink plus its [`BlockExit`] come back
+    /// through `collect`; the rest take the uninstrumented (batched) fast
+    /// path. Blocks run serially for deterministic diagnostics; pass
+    /// `|_, _| true` to monitor every block. Results and event counts are
+    /// bitwise-identical to [`run`](EmuRowFft::run) under any sink that
+    /// never suppresses an access.
+    pub fn run_monitored<S: AccessSink>(
         &self,
         data: &GlobalMem,
         select: impl FnMut(usize, usize) -> bool,
         make_sink: impl FnMut(usize, usize) -> S,
         collect: impl FnMut(usize, usize, S, BlockExit),
     ) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
-        let events = EventCounters::new();
-        let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid_monitored_sampled(Dim2::new(1, rows), &kernel, &events, select, make_sink, collect);
-        events.snapshot()
+        self.launch(data, |grid, kernel, events| {
+            run_grid_monitored(grid, kernel, events, select, make_sink, collect)
+        })
     }
 
-    /// Launches the kernel under instrumentation ([`run_grid_monitored`]):
-    /// per-block sinks observe every access, blocks run serially for
-    /// deterministic diagnostics, and each block's sink plus its
-    /// [`BlockExit`] come back through `collect`. With an inert sink the
-    /// results are bitwise-identical to [`run`](EmuRowFft::run).
-    pub fn run_monitored<S: AccessSink>(
+    /// Checks the signal size, builds the kernel over it, and hands it
+    /// with its grid and fresh counters to `go`; returns the counts.
+    fn launch<'a>(
         &self,
-        data: &GlobalMem,
-        make_sink: impl FnMut(usize, usize) -> S,
-        collect: impl FnMut(usize, usize, S, BlockExit),
+        data: &'a GlobalMem,
+        go: impl FnOnce(Dim2, &FftKernel<'a>, &EventCounters),
     ) -> EmuEvents {
         let (n, rows) = (self.n, self.rows);
         assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
 
         let events = EventCounters::new();
         let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid_monitored(Dim2::new(1, rows), &kernel, &events, make_sink, collect);
-        events.snapshot()
-    }
-
-    /// Launches the kernel on the retired OS-thread engine
-    /// ([`super::legacy`]) — the equivalence oracle. Semantics and event
-    /// counts are identical to [`run`](EmuRowFft::run).
-    pub fn run_legacy(&self, data: &GlobalMem) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
-        let stages = n.trailing_zeros() as usize;
-        let events = EventCounters::new();
-        legacy::launch(
-            Dim2::new(1, rows),
-            Dim2::new(n / 2, 1),
-            2 * n, // one complex row in shared memory
-            &events,
-            |ctx: &legacy::ThreadCtx<'_>| {
-                let row = ctx.by;
-                let base = 2 * row * n;
-                let tid = ctx.tx;
-
-                // Stage the row into shared memory in bit-reversed order;
-                // each thread loads two elements.
-                for idx in [tid, tid + n / 2] {
-                    let j = (idx.reverse_bits() >> (usize::BITS - stages as u32)) & (n - 1);
-                    let re = ctx.global_load(data, base + 2 * idx);
-                    let im = ctx.global_load(data, base + 2 * idx + 1);
-                    ctx.shared_store(2 * j, re);
-                    ctx.shared_store(2 * j + 1, im);
-                }
-                ctx.sync_threads();
-
-                // Butterfly stages.
-                let mut len = 2usize;
-                while len <= n {
-                    let half = len / 2;
-                    // Thread `tid` owns butterfly `tid`: group g, offset k.
-                    let g = tid / half;
-                    let k = tid % half;
-                    let i0 = g * len + k;
-                    let i1 = i0 + half;
-                    let ang = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
-                    let (w_re, w_im) = (ang.cos(), ang.sin());
-
-                    let u_re = ctx.shared_load(2 * i0);
-                    let u_im = ctx.shared_load(2 * i0 + 1);
-                    let v_re0 = ctx.shared_load(2 * i1);
-                    let v_im0 = ctx.shared_load(2 * i1 + 1);
-                    let v_re = v_re0 * w_re - v_im0 * w_im;
-                    let v_im = v_re0 * w_im + v_im0 * w_re;
-                    ctx.count_flops(10); // complex mul (6) + 2 complex adds (4)
-
-                    ctx.shared_store(2 * i0, u_re + v_re);
-                    ctx.shared_store(2 * i0 + 1, u_im + v_im);
-                    ctx.shared_store(2 * i1, u_re - v_re);
-                    ctx.shared_store(2 * i1 + 1, u_im - v_im);
-                    ctx.sync_threads();
-                    len <<= 1;
-                }
-
-                // Write the spectrum back; each thread stores two elements.
-                for idx in [tid, tid + n / 2] {
-                    let re = ctx.shared_load(2 * idx);
-                    let im = ctx.shared_load(2 * idx + 1);
-                    ctx.global_store(data, base + 2 * idx, re);
-                    ctx.global_store(data, base + 2 * idx + 1, im);
-                }
-            },
-        );
+        go(Dim2::new(1, rows), &kernel, &events);
         events.snapshot()
     }
 }
@@ -862,19 +775,6 @@ mod tests {
         assert_eq!(ev.global_stores, (2 * rows * n) as u64);
         // Barriers: one after staging + one per stage, per block.
         assert_eq!(ev.barriers, rows as u64 * (1 + stages));
-    }
-
-    #[test]
-    fn phase_engine_equals_legacy_engine() {
-        for &(n, rows) in &[(8usize, 2usize), (16, 3)] {
-            let host = signal(rows, n, 13);
-            let d1 = GlobalMem::from_slice(&host);
-            let new_ev = EmuRowFft::new(n, rows).run(&d1);
-            let d2 = GlobalMem::from_slice(&host);
-            let old_ev = EmuRowFft::new(n, rows).run_legacy(&d2);
-            assert_eq!(d1.to_vec(), d2.to_vec(), "n={n} rows={rows}");
-            assert_eq!(new_ev, old_ev, "n={n} rows={rows}");
-        }
     }
 
     #[test]

@@ -1,122 +1,23 @@
-//! Emulated device memories and event counters.
+//! Emulated device memory and event counters.
 //!
-//! Both global and shared memory are plain `f64` buffers behind an
-//! [`UnsafeCell`], accessed without per-cell atomicity. That is sound for
-//! the same reason CUDA kernels are: the programming model this emulator
-//! enforces already forbids data races. Within a block, threads only
-//! exchange data across `__syncthreads` boundaries (the phase interpreter
-//! runs the threads of a block sequentially; the legacy OS-thread engine
-//! separates conflicting accesses with a real [`std::sync::Barrier`],
-//! whose `wait` establishes happens-before). Across blocks, a kernel may
-//! only write cells no other block touches during the launch — the CUDA
-//! contract the kernels under study (tiled DGEMM, row FFT) obey by
-//! construction. Concurrent accesses are therefore always to disjoint
-//! cells, which Rust permits for raw-pointer access: no overlapping
-//! unsynchronized access, no data race.
+//! Global memory is a plain `f64` buffer behind an [`UnsafeCell`],
+//! accessed without per-cell atomicity. That is sound for the same reason
+//! CUDA kernels are: the programming model this emulator enforces already
+//! forbids data races. Within a block, threads only exchange data across
+//! `__syncthreads` boundaries, and the phase interpreter runs the threads
+//! of a block sequentially on one host thread (shared memory is a plain
+//! block-local `Vec<f64>`). Across blocks, a kernel may only write cells
+//! no other block touches during the launch — the CUDA contract the
+//! kernels under study (tiled DGEMM, row FFT) obey by construction.
+//! Concurrent accesses are therefore always to disjoint cells, which Rust
+//! permits for raw-pointer access: no overlapping unsynchronized access,
+//! no data race.
 //!
-//! The previous revision stored every value as a bit pattern in an
-//! `AtomicU64` and bumped an atomic event counter on every access; the
-//! per-block counters ([`BlockCounters`]) flushed once per block into
-//! [`EventCounters`] replace that last hot-path atomic traffic.
+//! Event counts accumulate in per-block plain counters ([`BlockCounters`])
+//! flushed once per block into the launch-wide atomic [`EventCounters`].
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A flat array of `f64` cells shared by concurrently executing blocks.
-///
-/// # Concurrency contract
-///
-/// Cells may be read by any number of threads concurrently; a cell that
-/// any thread writes during a launch must not be accessed by a thread of
-/// another block, and within a block conflicting accesses must be
-/// separated by a barrier (phase boundary). This is exactly the CUDA
-/// global-memory discipline; the emulator's kernels uphold it and the
-/// bounds of every access are checked.
-#[derive(Debug)]
-struct Cells {
-    cells: Box<[UnsafeCell<f64>]>,
-    /// Memory kind for diagnostics ("global" / "shared"): an
-    /// out-of-bounds access must name what it overran, not just where.
-    kind: &'static str,
-}
-
-// SAFETY: see the concurrency contract above — all concurrent access is
-// to disjoint cells (enforced by kernel structure, not the type system),
-// and disjoint plain accesses are race-free.
-unsafe impl Sync for Cells {}
-
-impl Cells {
-    fn zeroed(len: usize, kind: &'static str) -> Self {
-        Self { cells: (0..len).map(|_| UnsafeCell::new(0.0)).collect(), kind }
-    }
-
-    fn from_slice(data: &[f64], kind: &'static str) -> Self {
-        Self { cells: data.iter().map(|&v| UnsafeCell::new(v)).collect(), kind }
-    }
-
-    fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// A launch-stable identity for this allocation (its base address).
-    fn id(&self) -> BufId {
-        BufId(self.cells.as_ptr() as usize)
-    }
-
-    /// Panics with an attributable diagnostic: memory kind, index, length.
-    #[cold]
-    #[inline(never)]
-    fn oob(&self, op: &str, idx: usize) -> ! {
-        panic!(
-            "{} memory {op} out of bounds: index {idx} >= len {}",
-            self.kind,
-            self.cells.len()
-        )
-    }
-
-    #[inline]
-    fn load(&self, idx: usize) -> f64 {
-        if idx >= self.cells.len() {
-            self.oob("load", idx);
-        }
-        // SAFETY: bounds-checked above; concurrent accesses are disjoint
-        // per the type's contract.
-        unsafe { *self.cells[idx].get() }
-    }
-
-    #[inline]
-    fn store(&self, idx: usize, v: f64) {
-        if idx >= self.cells.len() {
-            self.oob("store", idx);
-        }
-        // SAFETY: as for `load`.
-        unsafe { *self.cells[idx].get() = v }
-    }
-
-    fn to_vec(&self) -> Vec<f64> {
-        // SAFETY: callers only snapshot between launches (host side).
-        self.cells.iter().map(|c| unsafe { *c.get() }).collect()
-    }
-
-    /// Bounds-checked base pointer of the `len` cells starting at `idx`,
-    /// for vectorized bulk access. `UnsafeCell<f64>` is layout-compatible
-    /// with `f64`, so consecutive cells form a contiguous `f64` run.
-    ///
-    /// The caller may read or write through the pointer only under the
-    /// type's concurrency contract (disjoint cells across concurrent
-    /// blocks), and only within the checked range.
-    #[inline]
-    fn range_ptr(&self, op: &str, idx: usize, len: usize) -> *mut f64 {
-        let end = idx.saturating_add(len);
-        if end > self.cells.len() {
-            self.oob(op, end.max(1) - 1);
-        }
-        if len == 0 {
-            return std::ptr::NonNull::<f64>::dangling().as_ptr();
-        }
-        self.cells[idx].get()
-    }
-}
 
 /// A launch-stable identity of one [`GlobalMem`] allocation — how an
 /// access observer ([`crate::emulator::AccessSink`]) tells apart the
@@ -129,25 +30,39 @@ impl Cells {
 pub struct BufId(usize);
 
 /// Device global memory: a flat array of `f64` cells shared by all blocks.
+///
+/// # Concurrency contract
+///
+/// Cells may be read by any number of threads concurrently; a cell that
+/// any thread writes during a launch must not be accessed by a thread of
+/// another block, and within a block conflicting accesses must be
+/// separated by a barrier (phase boundary). This is exactly the CUDA
+/// global-memory discipline; the emulator's kernels uphold it and the
+/// bounds of every access are checked.
 #[derive(Debug)]
 pub struct GlobalMem {
-    cells: Cells,
+    cells: Box<[UnsafeCell<f64>]>,
 }
+
+// SAFETY: see the concurrency contract above — all concurrent access is
+// to disjoint cells (enforced by kernel structure, not the type system),
+// and disjoint plain accesses are race-free.
+unsafe impl Sync for GlobalMem {}
 
 impl GlobalMem {
     /// Allocates zeroed global memory of `len` doubles.
     pub fn zeroed(len: usize) -> Self {
-        Self { cells: Cells::zeroed(len, "global") }
+        Self { cells: (0..len).map(|_| UnsafeCell::new(0.0)).collect() }
     }
 
     /// Uploads host data.
     pub fn from_slice(data: &[f64]) -> Self {
-        Self { cells: Cells::from_slice(data, "global") }
+        Self { cells: data.iter().map(|&v| UnsafeCell::new(v)).collect() }
     }
 
-    /// This allocation's identity for access observers.
+    /// This allocation's identity for access observers (its base address).
     pub fn id(&self) -> BufId {
-        self.cells.id()
+        BufId(self.cells.as_ptr() as usize)
     }
 
     /// Number of doubles.
@@ -157,71 +72,60 @@ impl GlobalMem {
 
     /// True when the allocation is empty.
     pub fn is_empty(&self) -> bool {
-        self.cells.len() == 0
+        self.cells.is_empty()
+    }
+
+    /// Panics with an attributable diagnostic: operation, index, length.
+    #[cold]
+    #[inline(never)]
+    fn oob(&self, op: &str, idx: usize) -> ! {
+        panic!("global memory {op} out of bounds: index {idx} >= len {}", self.cells.len())
     }
 
     /// Raw load without event accounting (host-side access).
     #[inline]
     pub fn load(&self, idx: usize) -> f64 {
-        self.cells.load(idx)
+        if idx >= self.cells.len() {
+            self.oob("load", idx);
+        }
+        // SAFETY: bounds-checked above; concurrent accesses are disjoint
+        // per the type's contract.
+        unsafe { *self.cells[idx].get() }
     }
 
     /// Raw store without event accounting (host-side access).
     #[inline]
     pub fn store(&self, idx: usize, v: f64) {
-        self.cells.store(idx, v)
+        if idx >= self.cells.len() {
+            self.oob("store", idx);
+        }
+        // SAFETY: as for `load`.
+        unsafe { *self.cells[idx].get() = v }
     }
 
     /// Downloads device data back to the host.
     pub fn to_vec(&self) -> Vec<f64> {
-        self.cells.to_vec()
+        // SAFETY: callers only snapshot between launches (host side).
+        self.cells.iter().map(|c| unsafe { *c.get() }).collect()
     }
 
     /// Bounds-checked base pointer of `len` contiguous doubles starting at
-    /// `idx`, for vectorized batch phase bodies. Panics (attributably) if
-    /// the range overruns the allocation. Reads and writes through the
-    /// pointer are subject to the same disjoint-cell concurrency contract
-    /// as [`GlobalMem::load`] / [`GlobalMem::store`].
+    /// `idx`, for vectorized batch phase bodies. `UnsafeCell<f64>` is
+    /// layout-compatible with `f64`, so consecutive cells form a
+    /// contiguous `f64` run. Panics (attributably) if the range overruns
+    /// the allocation. Reads and writes through the pointer are subject
+    /// to the same disjoint-cell concurrency contract as
+    /// [`GlobalMem::load`] / [`GlobalMem::store`].
     #[inline]
     pub fn range_ptr(&self, idx: usize, len: usize) -> *mut f64 {
-        self.cells.range_ptr("range access", idx, len)
-    }
-}
-
-/// Per-block shared memory (the `__shared__` arrays of Fig. 5), used by
-/// the legacy OS-thread engine. The phase interpreter gives each block a
-/// plain block-local `Vec<f64>` instead.
-#[derive(Debug)]
-pub struct SharedMem {
-    cells: Cells,
-}
-
-impl SharedMem {
-    /// Allocates zeroed shared memory of `len` doubles.
-    pub fn zeroed(len: usize) -> Self {
-        Self { cells: Cells::zeroed(len, "shared") }
-    }
-
-    /// Number of doubles.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when no shared memory was requested.
-    pub fn is_empty(&self) -> bool {
-        self.cells.len() == 0
-    }
-
-    /// Raw load (event accounting happens in the engine contexts).
-    #[inline]
-    pub fn load(&self, idx: usize) -> f64 {
-        self.cells.load(idx)
-    }
-
-    /// Raw store (event accounting happens in the engine contexts).
-    #[inline]
-    pub fn store(&self, idx: usize, v: f64) {
-        self.cells.store(idx, v)
+        let end = idx.saturating_add(len);
+        if end > self.cells.len() {
+            self.oob("range access", end.max(1) - 1);
+        }
+        if len == 0 {
+            return std::ptr::NonNull::<f64>::dangling().as_ptr();
+        }
+        self.cells[idx].get()
     }
 }
 
@@ -230,8 +134,7 @@ impl SharedMem {
 ///
 /// The phase interpreter never touches these from a hot path: each block
 /// accumulates into a plain [`BlockCounters`] and flushes the totals here
-/// once, at block retirement. The legacy engine still increments them per
-/// event, which is part of why it is slow.
+/// once, at block retirement.
 #[derive(Debug, Default)]
 pub struct EventCounters {
     /// Double-precision flops.
@@ -349,10 +252,9 @@ mod tests {
     fn zeroed_memories() {
         let g = GlobalMem::zeroed(4);
         assert_eq!(g.to_vec(), vec![0.0; 4]);
-        let s = SharedMem::zeroed(2);
-        assert_eq!(s.load(0), 0.0);
-        s.store(0, 1.5);
-        assert_eq!(s.load(0), 1.5);
+        g.store(0, 1.5);
+        assert_eq!(g.load(0), 1.5);
+        assert!(GlobalMem::zeroed(0).is_empty());
     }
 
     #[test]
@@ -362,9 +264,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shared memory store out of bounds: index 7 >= len 2")]
+    #[should_panic(expected = "global memory store out of bounds: index 7 >= len 2")]
     fn out_of_bounds_store_fails_loudly() {
-        SharedMem::zeroed(2).store(7, 1.0);
+        GlobalMem::zeroed(2).store(7, 1.0);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! execute in parallel waves sized by [`exec::WavePlan`] (host
 //! parallelism, optionally capped by the modeled device's occupancy).
 //! Memories are plain `f64` buffers ([`mem`]); event counts accumulate in
-//! per-block plain counters flushed once per block. The original
-//! OS-thread-per-CUDA-thread engine survives in [`legacy`] purely as the
-//! equivalence oracle.
+//! per-block plain counters flushed once per block.
 //!
 //! Its purpose is *semantic ground truth* at small N:
 //!
@@ -20,20 +18,24 @@
 //! * every memory access, flop and barrier is counted ([`mem::EventCounters`]),
 //!   and the counts cross-validate the analytic CUPTI model
 //!   ([`crate::cupti::CuptiReport`]) exactly.
+//!
+//! The references for the engine itself are the per-thread scalar phase
+//! loop (`run_unbatched`, which the batched and SIMD bodies must match
+//! bit for bit) and, in the equivalence suite, plain host loops that
+//! follow each kernel body's float-operation order.
 
 pub mod exec;
 pub mod fft_kernel;
-pub mod legacy;
 pub mod mem;
 pub mod simd;
 pub mod tiled_dgemm;
 
 pub use exec::{
-    run_grid, run_grid_monitored, run_grid_monitored_sampled, run_grid_unbatched, AccessPoint,
-    AccessSink, BatchAccess, BatchCtx, BlockExit, BlockKernel, Dim2, ForceScalar, GlobalBatch,
-    GlobalRun, NoSink, PhaseCtx, PhaseOutcome, PhaseTrace, ScalarProbe, SharedBatch, WavePlan,
+    run_grid, run_grid_monitored, run_grid_unbatched, AccessPoint, AccessSink, BatchAccess,
+    BatchCtx, BlockExit, BlockKernel, Dim2, ForceScalar, GlobalBatch, GlobalRun, NoSink, PhaseCtx,
+    PhaseOutcome, PhaseTrace, SharedBatch, WavePlan,
 };
 pub use fft_kernel::EmuRowFft;
 pub use simd::SimdPath;
-pub use mem::{BlockCounters, BufId, EmuEvents, EventCounters, GlobalMem, SharedMem};
+pub use mem::{BlockCounters, BufId, EmuEvents, EventCounters, GlobalMem};
 pub use tiled_dgemm::EmuDgemm;

@@ -13,14 +13,12 @@
 //! (fill `As`/`Bs`), the unrolled inner *mac* product, and the *retire*
 //! segment (the `C += Csub` read-modify-write plus whatever the control
 //! flow appends: the inter-group separator barrier, or the first stage of
-//! the next run's product). The original closure form survives in
-//! [`EmuDgemm::run_legacy`] for old-vs-new equivalence tests.
+//! the next run's product).
 
 use super::exec::{
-    run_grid, run_grid_monitored, run_grid_monitored_sampled, run_grid_unbatched, AccessSink,
-    BatchCtx, BlockExit, BlockKernel, Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
+    run_grid, run_grid_monitored, run_grid_unbatched, AccessSink, BatchCtx, BlockExit,
+    BlockKernel, Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
 };
-use super::legacy;
 use super::mem::{EmuEvents, EventCounters, GlobalMem};
 use super::simd::SimdPath;
 use crate::model::{shared_bytes, TiledDgemmConfig};
@@ -88,16 +86,7 @@ impl EmuDgemm {
     /// `C += (G·R) · A·B`, element count `N²` each. Returns the event
     /// counts of the launch.
     pub fn run(&self, a: &GlobalMem, b: &GlobalMem, c: &GlobalMem) -> EmuEvents {
-        let TiledDgemmConfig { n, bs, .. } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
-        let events = EventCounters::new();
-        let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid(Dim2::new(tiles, tiles), &kernel, &events, self.wave);
-        events.snapshot()
+        self.launch(a, b, c, |grid, kernel, events| run_grid(grid, kernel, events, self.wave))
     }
 
     /// [`run`](EmuDgemm::run) with the batched fast path disabled
@@ -107,52 +96,21 @@ impl EmuDgemm {
     /// suite; results and event counts are bitwise-identical to
     /// [`run`](EmuDgemm::run) by contract.
     pub fn run_unbatched(&self, a: &GlobalMem, b: &GlobalMem, c: &GlobalMem) -> EmuEvents {
-        let TiledDgemmConfig { n, bs, .. } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
-        let events = EventCounters::new();
-        let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid_unbatched(Dim2::new(tiles, tiles), &kernel, &events, self.wave);
-        events.snapshot()
+        self.launch(a, b, c, |grid, kernel, events| {
+            run_grid_unbatched(grid, kernel, events, self.wave)
+        })
     }
 
     /// Launches the kernel under instrumentation ([`run_grid_monitored`]):
-    /// every memory access is reported to a per-block sink from
-    /// `make_sink`, blocks run serially in row-major order for
-    /// deterministic diagnostics, and each block's sink plus its
-    /// [`BlockExit`] are handed back through `collect`. The sanitizer's
-    /// entry point; with an inert sink the results are bitwise-identical
-    /// to [`run`](EmuDgemm::run).
+    /// blocks selected by `select` report every memory access to a
+    /// per-block sink from `make_sink`, and each such block's sink plus
+    /// its [`BlockExit`] are handed back through `collect`; the rest take
+    /// the uninstrumented (batched) fast path. Blocks run serially in
+    /// row-major order for deterministic diagnostics. The sanitizer's
+    /// entry point; pass `|_, _| true` to monitor every block. Results and
+    /// event counts are bitwise-identical to [`run`](EmuDgemm::run) under
+    /// any sink that never suppresses an access.
     pub fn run_monitored<S: AccessSink>(
-        &self,
-        a: &GlobalMem,
-        b: &GlobalMem,
-        c: &GlobalMem,
-        make_sink: impl FnMut(usize, usize) -> S,
-        collect: impl FnMut(usize, usize, S, BlockExit),
-    ) -> EmuEvents {
-        let TiledDgemmConfig { n, bs, .. } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
-        let events = EventCounters::new();
-        let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid_monitored(Dim2::new(tiles, tiles), &kernel, &events, make_sink, collect);
-        events.snapshot()
-    }
-
-    /// [`run_monitored`](EmuDgemm::run_monitored) with per-block sampling
-    /// ([`run_grid_monitored_sampled`]): blocks selected by `select` run
-    /// fully instrumented, the rest take the uninstrumented fast path
-    /// (batched) and never touch the monitor. Results and event counts
-    /// stay identical to an unmonitored run; only checker *coverage* is
-    /// sampled.
-    pub fn run_monitored_sampled<S: AccessSink>(
         &self,
         a: &GlobalMem,
         b: &GlobalMem,
@@ -161,6 +119,20 @@ impl EmuDgemm {
         make_sink: impl FnMut(usize, usize) -> S,
         collect: impl FnMut(usize, usize, S, BlockExit),
     ) -> EmuEvents {
+        self.launch(a, b, c, |grid, kernel, events| {
+            run_grid_monitored(grid, kernel, events, select, make_sink, collect)
+        })
+    }
+
+    /// Checks the buffer sizes, builds the kernel over them, and hands it
+    /// with its grid and fresh counters to `go`; returns the counts.
+    fn launch<'a>(
+        &self,
+        a: &'a GlobalMem,
+        b: &'a GlobalMem,
+        c: &'a GlobalMem,
+        go: impl FnOnce(Dim2, &DgemmKernel<'a>, &EventCounters),
+    ) -> EmuEvents {
         let TiledDgemmConfig { n, bs, .. } = self.cfg;
         assert_eq!(a.len(), n * n, "A size mismatch");
         assert_eq!(b.len(), n * n, "B size mismatch");
@@ -169,47 +141,7 @@ impl EmuDgemm {
         let tiles = n / bs;
         let events = EventCounters::new();
         let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid_monitored_sampled(
-            Dim2::new(tiles, tiles),
-            &kernel,
-            &events,
-            select,
-            make_sink,
-            collect,
-        );
-        events.snapshot()
-    }
-
-    /// Launches the kernel on the retired OS-thread engine
-    /// ([`super::legacy`]) — the equivalence oracle and the "before" side
-    /// of the engine benchmark. Semantics and event counts are identical
-    /// to [`run`](EmuDgemm::run); wall-clock is not.
-    pub fn run_legacy(&self, a: &GlobalMem, b: &GlobalMem, c: &GlobalMem) -> EmuEvents {
-        let TiledDgemmConfig { n, bs, g, r } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
-        let events = EventCounters::new();
-        legacy::launch(
-            Dim2::new(tiles, tiles),
-            Dim2::new(bs, bs),
-            2 * bs * bs,
-            &events,
-            |ctx: &legacy::ThreadCtx<'_>| {
-                // `for (int run = 0; run < R; run++) dgemmG{G}(...)`.
-                for _run in 0..r {
-                    for grp in 0..g {
-                        legacy_matrix_product(ctx, a, b, c, n, bs);
-                        // Inter-product separator within a group body.
-                        if grp + 1 < g {
-                            ctx.sync_threads();
-                        }
-                    }
-                }
-            },
-        );
+        go(Dim2::new(tiles, tiles), &kernel, &events);
         events.snapshot()
     }
 }
@@ -923,49 +855,6 @@ impl BlockKernel for DgemmKernel<'_> {
     }
 }
 
-/// One device matrix product on the legacy engine — the body of `dgemmG1`
-/// (Fig. 5 lines 1–21), closure form.
-fn legacy_matrix_product(
-    ctx: &legacy::ThreadCtx<'_>,
-    a: &GlobalMem,
-    b: &GlobalMem,
-    c: &GlobalMem,
-    n: usize,
-    bs: usize,
-) {
-    let (bx, by, tx, ty) = (ctx.bx, ctx.by, ctx.tx, ctx.ty);
-    // Shared tiles: As at [0, bs²), Bs at [bs², 2bs²).
-    let as_idx = |row: usize, col: usize| row * bs + col;
-    let bs_idx = |row: usize, col: usize| bs * bs + row * bs + col;
-
-    let a_begin = n * bs * by;
-    let a_end = a_begin + n - 1;
-    let a_step = bs;
-    let b_step = bs * n;
-    let mut csub = 0.0;
-
-    let mut ai = a_begin;
-    let mut bi = bs * bx;
-    while ai <= a_end {
-        // Stage one A tile and one B tile into shared memory.
-        ctx.shared_store(as_idx(ty, tx), ctx.global_load(a, ai + n * ty + tx));
-        ctx.shared_store(bs_idx(ty, tx), ctx.global_load(b, bi + n * ty + tx));
-        ctx.sync_threads();
-        // `#pragma unroll` inner product over the tile.
-        for k in 0..bs {
-            csub += ctx.shared_load(as_idx(ty, k)) * ctx.shared_load(bs_idx(k, tx));
-            ctx.count_flops(2);
-        }
-        ctx.sync_threads();
-        ai += a_step;
-        bi += b_step;
-    }
-    // `C[...] += Csub` — a read-modify-write of one element.
-    let ci = n * bs * by + bs * bx + n * ty + tx;
-    let prev = ctx.global_load(c, ci);
-    ctx.global_store(c, ci, prev + csub);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1094,29 +983,6 @@ mod tests {
         assert_eq!(compound.global_stores, doubled.global_stores);
         // Barriers: one extra per block for the group separator.
         assert_eq!(compound.barriers, doubled.barriers + (8 / 4) * (8 / 4));
-    }
-
-    #[test]
-    fn phase_engine_equals_legacy_engine() {
-        for &(n, bs, g, r) in &[(8usize, 4usize, 1usize, 1usize), (8, 2, 2, 2), (12, 3, 1, 2)] {
-            let av = filled(n * n, 4);
-            let bv = filled(n * n, 5);
-            let cv = filled(n * n, 6);
-            let mk = || {
-                (
-                    GlobalMem::from_slice(&av),
-                    GlobalMem::from_slice(&bv),
-                    GlobalMem::from_slice(&cv),
-                )
-            };
-            let emu = EmuDgemm::new(TiledDgemmConfig { n, bs, g, r });
-            let (a1, b1, c1) = mk();
-            let new_ev = emu.run(&a1, &b1, &c1);
-            let (a2, b2, c2) = mk();
-            let old_ev = emu.run_legacy(&a2, &b2, &c2);
-            assert_eq!(c1.to_vec(), c2.to_vec(), "n={n} bs={bs} g={g} r={r}");
-            assert_eq!(new_ev, old_ev, "n={n} bs={bs} g={g} r={r}");
-        }
     }
 
     #[test]

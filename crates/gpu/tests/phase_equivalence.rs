@@ -1,14 +1,16 @@
 //! Phase-interpreter equivalence suite.
 //!
-//! The cooperative barrier-phase interpreter (PR 3) replaced the
-//! OS-thread-per-CUDA-thread engine as the emulator's production engine.
-//! This suite is the evidence that nothing observable changed:
+//! The cooperative barrier-phase interpreter is the emulator's only
+//! engine. This suite is the evidence that it computes what the paper's
+//! kernels compute:
 //!
 //! * emulated tiled DGEMM matches a host reference matmul for **every**
 //!   valid `BS ∈ 1..=32` at N = 64 and N = 128;
 //! * the emulated row FFT matches the host FFT library;
-//! * the phase engine and the legacy engine produce bitwise-identical
-//!   memory contents and event counts;
+//! * both kernels, batched and scalar, are bitwise-identical to plain
+//!   host loops that follow the kernel bodies' float-operation order
+//!   (the bitwise host oracle), and the DGEMM event counts equal the
+//!   analytic CUPTI counts on the same shapes;
 //! * flushed per-block counters reproduce the analytic CUPTI counts
 //!   exactly across `BS ∈ {1, 4, 16, 32}`;
 //! * a kernel whose threads disagree on phase count fails loudly — the
@@ -93,30 +95,6 @@ fn dgemm_reference_sweep(n: usize) {
 }
 
 #[test]
-fn dgemm_phase_engine_equals_legacy_engine_bitwise() {
-    // Same inputs through both engines: memory contents and event counts
-    // must agree bitwise, including compound workloads (G, R > 1).
-    for &(n, bs, g, r) in &[(16usize, 4usize, 1usize, 1usize), (16, 8, 2, 1), (8, 2, 2, 2)] {
-        let av = filled(n * n, 31);
-        let bv = filled(n * n, 32);
-        let cv = filled(n * n, 33);
-        let emu = EmuDgemm::new(TiledDgemmConfig { n, bs, g, r });
-
-        let (a1, b1, c1) =
-            (GlobalMem::from_slice(&av), GlobalMem::from_slice(&bv), GlobalMem::from_slice(&cv));
-        let phase_ev = emu.run(&a1, &b1, &c1);
-
-        let (a2, b2, c2) =
-            (GlobalMem::from_slice(&av), GlobalMem::from_slice(&bv), GlobalMem::from_slice(&cv));
-        let legacy_ev = emu.run_legacy(&a2, &b2, &c2);
-
-        let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&c1), bits(&c2), "n={n} bs={bs} g={g} r={r}: memory diverged");
-        assert_eq!(phase_ev, legacy_ev, "n={n} bs={bs} g={g} r={r}: event counts diverged");
-    }
-}
-
-#[test]
 fn fft_phase_engine_matches_host_fft_library() {
     for &(n, rows) in &[(16usize, 4usize), (64, 2), (256, 1)] {
         let host = filled(2 * rows * n, 41);
@@ -138,18 +116,134 @@ fn fft_phase_engine_matches_host_fft_library() {
     }
 }
 
-#[test]
-fn fft_phase_engine_equals_legacy_engine_bitwise() {
-    let (n, rows) = (32usize, 3usize);
-    let host = filled(2 * rows * n, 51);
-    let d1 = GlobalMem::from_slice(&host);
-    let phase_ev = EmuRowFft::new(n, rows).run(&d1);
-    let d2 = GlobalMem::from_slice(&host);
-    let legacy_ev = EmuRowFft::new(n, rows).run_legacy(&d2);
+// ---------------------------------------------------------------------
+// Bitwise host oracle. Plain host loops that perform the kernel bodies'
+// floating-point operations in the same order, so the emulator (batched
+// at every SIMD tier, and the scalar per-thread loop) must reproduce
+// them bit for bit — no tolerance.
+// ---------------------------------------------------------------------
 
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&d1), bits(&d2), "FFT memory diverged between engines");
-    assert_eq!(phase_ev, legacy_ev, "FFT event counts diverged between engines");
+/// The Fig. 5 DGEMM in the kernel's float order: for each of the `G·R`
+/// products, every element accumulates `csub = Σ_l a[i,l]·b[l,j]` from
+/// `0.0` in increasing `l` (tile by tile, `k` within a tile), then
+/// `c += csub`.
+fn host_oracle_dgemm(a: &[f64], b: &[f64], c: &mut [f64], n: usize, products: usize) {
+    for _ in 0..products {
+        for i in 0..n {
+            for j in 0..n {
+                let mut csub = 0.0;
+                for l in 0..n {
+                    csub += a[i * n + l] * b[l * n + j];
+                }
+                c[i * n + j] += csub;
+            }
+        }
+    }
+}
+
+/// The row FFT in the kernel's float order, on every length-`n` row of
+/// `data`: bit-reversed staging, then radix-2 stages `len = 2, 4, …, n`
+/// with the twiddle `ang = -2π·k/len` through `ang.cos()` / `ang.sin()`.
+fn host_oracle_fft(data: &mut [f64], n: usize) {
+    let stages = n.trailing_zeros();
+    for row in data.chunks_exact_mut(2 * n) {
+        let mut x = vec![0.0; 2 * n];
+        for idx in 0..n {
+            let j = (0..stages).fold(0, |j, bit| (j << 1) | ((idx >> bit) & 1));
+            x[2 * j] = row[2 * idx];
+            x[2 * j + 1] = row[2 * idx + 1];
+        }
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            for g in 0..n / len {
+                for k in 0..half {
+                    let (i0, i1) = (g * len + k, g * len + k + half);
+                    let ang = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
+                    let (w_re, w_im) = (ang.cos(), ang.sin());
+                    let (u_re, u_im) = (x[2 * i0], x[2 * i0 + 1]);
+                    let v_re = x[2 * i1] * w_re - x[2 * i1 + 1] * w_im;
+                    let v_im = x[2 * i1] * w_im + x[2 * i1 + 1] * w_re;
+                    x[2 * i0] = u_re + v_re;
+                    x[2 * i0 + 1] = u_im + v_im;
+                    x[2 * i1] = u_re - v_re;
+                    x[2 * i1 + 1] = u_im - v_im;
+                }
+            }
+            len <<= 1;
+        }
+        row.copy_from_slice(&x);
+    }
+}
+
+fn bits_of(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn dgemm_equals_host_oracle_bitwise() {
+    for &(n, bs, g, r) in &[
+        (16usize, 4usize, 1usize, 1usize),
+        (16, 8, 2, 1),
+        (8, 2, 2, 2),
+        (8, 4, 1, 1),
+        (12, 3, 1, 2),
+    ] {
+        let av = filled(n * n, 31);
+        let bv = filled(n * n, 32);
+        let cv = filled(n * n, 33);
+        let mut expect = cv.clone();
+        host_oracle_dgemm(&av, &bv, &mut expect, n, g * r);
+
+        let cfg = TiledDgemmConfig { n, bs, g, r };
+        let emu = EmuDgemm::new(cfg);
+        let rep = CuptiReport::of(&cfg);
+        for (path, unbatched) in [("run", false), ("run_unbatched", true)] {
+            let (a, b, c) = (
+                GlobalMem::from_slice(&av),
+                GlobalMem::from_slice(&bv),
+                GlobalMem::from_slice(&cv),
+            );
+            let ev = if unbatched { emu.run_unbatched(&a, &b, &c) } else { emu.run(&a, &b, &c) };
+            assert_eq!(
+                bits_of(&c.to_vec()),
+                bits_of(&expect),
+                "{path} n={n} bs={bs} g={g} r={r}: diverged from the host oracle"
+            );
+            for (counter, got) in [
+                (CuptiCounter::FlopCountDp, ev.flops),
+                (CuptiCounter::SharedLoad, ev.shared_loads),
+                (CuptiCounter::SharedStore, ev.shared_stores),
+                (CuptiCounter::GldTransactions, ev.global_loads),
+                (CuptiCounter::GstTransactions, ev.global_stores),
+                (CuptiCounter::BarrierSync, ev.barriers),
+            ] {
+                assert_eq!(
+                    rep.get(counter).true_count,
+                    got as u128,
+                    "{path} {counter:?} n={n} bs={bs} g={g} r={r}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fft_equals_host_oracle_bitwise() {
+    for &(n, rows) in &[(32usize, 3usize), (8, 2), (16, 3)] {
+        let host = filled(2 * rows * n, 51);
+        let mut expect = host.clone();
+        host_oracle_fft(&mut expect, n);
+
+        let emu = EmuRowFft::new(n, rows);
+        let d1 = GlobalMem::from_slice(&host);
+        let batched_ev = emu.run(&d1);
+        let d2 = GlobalMem::from_slice(&host);
+        let scalar_ev = emu.run_unbatched(&d2);
+        assert_eq!(bits_of(&d1.to_vec()), bits_of(&expect), "run n={n} rows={rows}");
+        assert_eq!(bits_of(&d2.to_vec()), bits_of(&expect), "run_unbatched n={n} rows={rows}");
+        assert_eq!(batched_ev, scalar_ev, "n={n} rows={rows}: counters diverged");
+    }
 }
 
 #[test]
@@ -235,7 +329,7 @@ fn divergent_phase_counts_panic_instead_of_deadlocking() {
 // ---------------------------------------------------------------------
 // Batched SoA phase bodies vs the scalar per-thread loop (PR 7). `run`
 // takes the batched fast path (`NoSink` is inert); `run_unbatched` pins
-// the scalar loop through a transparent probe sink. Equivalence is
+// the scalar loop through `ForceScalar<NoSink>`. Equivalence is
 // bitwise: output memory AND flushed event-counter totals.
 // ---------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ use crate::monitor::{BufferTable, LaunchMonitor};
 use crate::prelaunch;
 use crate::report::Finding;
 use enprop_gpusim::emulator::{
-    run_grid_monitored_sampled, BlockKernel, Dim2, EmuDgemm, EmuRowFft, EventCounters, GlobalMem,
+    run_grid_monitored, BlockKernel, Dim2, EmuDgemm, EmuRowFft, EventCounters, GlobalMem,
 };
 use enprop_gpusim::model::max_group;
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
@@ -196,7 +196,7 @@ pub fn sanitize_kernel_sampled<K: BlockKernel>(
     let events = EventCounters::new();
     let fallback = sample.fallback_block(grid.x, grid.y);
     let mut monitored = 0usize;
-    run_grid_monitored_sampled(
+    run_grid_monitored(
         grid,
         kernel,
         &events,
@@ -255,7 +255,7 @@ pub fn sanitize_dgemm_sampled(
     let monitor = LaunchMonitor::new(table, 2 * cfg.bs * cfg.bs);
     let fallback = sample.fallback_block(tiles, tiles);
     let mut monitored = 0usize;
-    EmuDgemm::new(cfg).run_monitored_sampled(
+    EmuDgemm::new(cfg).run_monitored(
         &a,
         &b,
         &c,
@@ -308,7 +308,7 @@ pub fn sanitize_fft_sampled(
     let monitor = LaunchMonitor::new(table, 2 * n);
     let fallback = sample.fallback_block(1, rows);
     let mut monitored = 0usize;
-    EmuRowFft::new(n, rows).run_monitored_sampled(
+    EmuRowFft::new(n, rows).run_monitored(
         &data,
         |bx, by| sample.selects(1, bx, by) || fallback == Some((bx, by)),
         |_, _| {

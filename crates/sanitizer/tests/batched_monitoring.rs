@@ -55,6 +55,7 @@ fn dgemm_bulk_monitoring_matches_forced_scalar_monitoring() {
             &a1,
             &b1,
             &c1,
+            |_, _| true,
             |_, _| {
                 monitor.begin_block();
                 monitor.sink()
@@ -79,6 +80,7 @@ fn dgemm_bulk_monitoring_matches_forced_scalar_monitoring() {
             &a2,
             &b2,
             &c2,
+            |_, _| true,
             |_, _| {
                 monitor.begin_block();
                 ForceScalar(monitor.sink())
@@ -110,6 +112,7 @@ fn fft_bulk_monitoring_matches_forced_scalar_monitoring() {
         let monitor = LaunchMonitor::new(table, 2 * n);
         let bulk_ev = emu.run_monitored(
             &d1,
+            |_, _| true,
             |_, _| {
                 monitor.begin_block();
                 monitor.sink()
@@ -124,6 +127,7 @@ fn fft_bulk_monitoring_matches_forced_scalar_monitoring() {
         let monitor = LaunchMonitor::new(table, 2 * n);
         let scalar_ev = emu.run_monitored(
             &d2,
+            |_, _| true,
             |_, _| {
                 monitor.begin_block();
                 ForceScalar(monitor.sink())

@@ -64,6 +64,7 @@ proptest! {
         let monitor = LaunchMonitor::new(table, 2 * bs * bs);
         let monitored_ev = emu.run_monitored(
             &a2, &b2, &c2,
+            |_, _| true,
             |_, _| { monitor.begin_block(); monitor.sink() },
             |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
         );
@@ -96,6 +97,7 @@ proptest! {
         let monitor = LaunchMonitor::new(table, 2 * n);
         let monitored_ev = emu.run_monitored(
             &d2,
+            |_, _| true,
             |_, _| { monitor.begin_block(); monitor.sink() },
             |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
         );

@@ -108,6 +108,7 @@ pub fn probe_grid<K: BlockKernel>(grid: Dim2, kernel: &K) -> (Vec<BlockProbe>, E
         grid,
         kernel,
         &events,
+        |_, _| true,
         |_, _| ProbeSink::default(),
         |bx, by, sink: ProbeSink, exit| {
             blocks.push(BlockProbe { bx, by, accesses: sink.accesses, exit });
@@ -131,6 +132,7 @@ pub fn probe_grid_dgemm(
         &a,
         &b,
         &c,
+        |_, _| true,
         |_, _| ProbeSink::default(),
         |bx, by, sink: ProbeSink, exit| {
             blocks.push(BlockProbe { bx, by, accesses: sink.accesses, exit });

@@ -114,6 +114,7 @@ fn fft_kernel_falls_back_as_non_affine() {
     let mut blocks = Vec::new();
     fft.run_monitored(
         &data,
+        |_, _| true,
         |_, _| ProbeSink::default(),
         |bx, by, sink: ProbeSink, exit| {
             blocks.push(enprop_staticcheck::probe::BlockProbe {
