@@ -707,7 +707,7 @@ pub fn replay<T: DeserializeOwned>(dir: &Path) -> Result<Replay<T>, CheckpointEr
 
 /// A sweep's checkpoint: the replayed history plus an armed writer for the
 /// configurations still to run. Consumed by
-/// [`run_measured_with_retry_resumable`](crate::parallel::SweepExecutor::run_measured_with_retry_resumable),
+/// [`run_measured_with_retry`](crate::parallel::SweepExecutor::run_measured_with_retry),
 /// which takes it by value so one checkpoint can never journal two sweeps.
 #[derive(Debug)]
 pub struct SweepCheckpoint<T> {

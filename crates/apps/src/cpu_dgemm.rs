@@ -1,10 +1,9 @@
 //! The CPU threadgroup DGEMM application of §III, as a sweep driver.
 
-use crate::parallel::{RetryPolicy, RobustSweep, SweepExecutor};
+use crate::parallel::SweepExecutor;
 use crate::point::DataPoint;
 use crate::runner::MeasurementRunner;
 use enprop_cpusim::{BlasFlavor, CpuDgemmConfig, CpuRunEstimate, CpuSimulator};
-use enprop_power::{FaultInjectingMeter, FaultPlan, SimulatedWattsUp};
 use enprop_units::{Utilization, Watts};
 
 /// One configuration's full Fig. 4 record: the measured point plus the
@@ -116,63 +115,11 @@ impl CpuDgemmApp {
         )
     }
 
-    /// Fault-tolerant [`sweep_measured`](Self::sweep_measured): failed
-    /// measurements retry per `policy`, exhausted configurations are
-    /// recorded in [`RobustSweep::failures`], and output stays
-    /// bitwise-identical at any thread count.
-    pub fn sweep_measured_robust(
-        &self,
-        n: usize,
-        flavor: BlasFlavor,
-        exec: &SweepExecutor,
-        stride: usize,
-        policy: RetryPolicy,
-        plan: FaultPlan,
-    ) -> RobustSweep<CpuDgemmConfig, CpuPoint> {
-        assert!(stride >= 1, "stride must be positive");
-        let configs: Vec<CpuDgemmConfig> =
-            self.configs(flavor).into_iter().step_by(stride).collect();
-        exec.run_measured_with_retry(
-            &configs,
-            policy,
-            || Self::faulty_runner(plan, 0),
-            |runner, cfg| {
-                let r = self.sim.run_dgemm(cfg, n);
-                let m = runner.try_measure(
-                    r.time,
-                    r.dynamic_power,
-                    Watts::ZERO,
-                    enprop_units::Seconds::ZERO,
-                )?;
-                Ok(CpuPoint {
-                    avg_utilization: r.average_utilization(),
-                    utilization_spread: Utilization::std_dev(&r.per_core_util),
-                    gflops: r.gflops,
-                    point: DataPoint {
-                        config: *cfg,
-                        time: m.time,
-                        dynamic_energy: m.dynamic_energy,
-                        reps: m.reps,
-                        converged: m.converged,
-                    },
-                })
-            },
-        )
-    }
-
     /// A measurement rig matching the paper's CPU node idle draw.
     pub fn default_runner(seed: u64) -> MeasurementRunner {
         MeasurementRunner::new(Watts(90.0), seed)
     }
 
-    /// A [`default_runner`](Self::default_runner)-shaped rig whose meter
-    /// misbehaves per `plan`.
-    pub fn faulty_runner(
-        plan: FaultPlan,
-        seed: u64,
-    ) -> MeasurementRunner<FaultInjectingMeter<SimulatedWattsUp>> {
-        MeasurementRunner::faulty(Watts(90.0), plan, seed)
-    }
 }
 
 #[cfg(test)]
@@ -219,23 +166,6 @@ mod tests {
                 / exact.dynamic_energy().value();
             assert!(rel < 0.3, "config {:?}: rel {rel}", p.point.config);
         }
-    }
-
-    #[test]
-    fn faultless_robust_sweep_matches_plain_sweep() {
-        let app = CpuDgemmApp::haswell();
-        let exec = SweepExecutor::serial(8);
-        let plain = app.sweep_measured(4096, BlasFlavor::OpenBlas, &exec, 61);
-        let robust = app.sweep_measured_robust(
-            4096,
-            BlasFlavor::OpenBlas,
-            &exec,
-            61,
-            RetryPolicy::default(),
-            FaultPlan::none(),
-        );
-        assert!(robust.is_complete());
-        assert_eq!(robust.points, plain);
     }
 
     #[test]

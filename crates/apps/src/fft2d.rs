@@ -1,9 +1,8 @@
 //! The 2-D FFT application for the strong-EP study (Fig. 1), across all
 //! three processors of Table I.
 
-use crate::parallel::{RetryPolicy, RobustSweep, SweepExecutor};
+use crate::parallel::SweepExecutor;
 use crate::runner::MeasurementRunner;
-use enprop_power::{FaultInjectingMeter, FaultPlan, SimulatedWattsUp};
 use enprop_cpusim::fft_model::CpuFft2d;
 use enprop_gpusim::fft_model::GpuFft2d;
 use enprop_gpusim::GpuArch;
@@ -119,60 +118,14 @@ impl Fft2dApp {
         )
     }
 
-    /// Fault-tolerant [`sweep_measured`](Self::sweep_measured): failed
-    /// points retry per `policy`, sizes that exhaust their retries land in
-    /// [`RobustSweep::failures`], and output stays bitwise-identical at
-    /// any thread count.
-    pub fn sweep_measured_robust(
-        &self,
-        sizes: &[usize],
-        exec: &SweepExecutor,
-        policy: RetryPolicy,
-        plan: FaultPlan,
-    ) -> RobustSweep<usize, FftPoint> {
-        exec.run_measured_with_retry(
-            sizes,
-            policy,
-            || self.faulty_runner(plan, 0),
-            |runner, &n| {
-                let work = enprop_gpusim::fft_model::fft2d_work(n);
-                let (time, steady, warm_p, warm_t) = match &self.processor {
-                    Processor::Cpu(m) => {
-                        let e = m.estimate(n);
-                        (e.time, e.power, enprop_units::Watts::ZERO, enprop_units::Seconds::ZERO)
-                    }
-                    Processor::Gpu(m) => {
-                        let e = m.estimate(n);
-                        (e.time, e.steady_power, e.warmup_power, e.warmup_time)
-                    }
-                };
-                let m = runner.try_measure(time, steady, warm_p, warm_t)?;
-                Ok(FftPoint { n, work, time: m.time, dynamic_energy: m.dynamic_energy })
-            },
-        )
-    }
-
     /// A measurement rig matching the bound processor's node: the CPU node
     /// idles at 90 W, the GPU server nodes at 110 W.
     pub fn default_runner(&self, seed: u64) -> MeasurementRunner {
-        MeasurementRunner::new(self.idle_power(), seed)
-    }
-
-    /// A [`default_runner`](Self::default_runner)-shaped rig whose meter
-    /// misbehaves per `plan`.
-    pub fn faulty_runner(
-        &self,
-        plan: FaultPlan,
-        seed: u64,
-    ) -> MeasurementRunner<FaultInjectingMeter<SimulatedWattsUp>> {
-        MeasurementRunner::faulty(self.idle_power(), plan, seed)
-    }
-
-    fn idle_power(&self) -> enprop_units::Watts {
-        match &self.processor {
+        let idle_power = match &self.processor {
             Processor::Cpu(_) => enprop_units::Watts(90.0),
             Processor::Gpu(_) => enprop_units::Watts(110.0),
-        }
+        };
+        MeasurementRunner::new(idle_power, seed)
     }
 }
 
@@ -215,23 +168,6 @@ mod tests {
                 / e.dynamic_energy.value();
             assert!(rel < 0.30, "n={}: rel {rel}", e.n);
         }
-    }
-
-    #[test]
-    fn faultless_robust_sweep_matches_plain_sweep() {
-        let app = Fft2dApp::new(Processor::Gpu(
-            enprop_gpusim::fft_model::GpuFft2d::new(GpuArch::k40c()),
-        ));
-        let sizes = [2048usize, 8192, 16384];
-        let plain = app.sweep_measured(&sizes, &SweepExecutor::serial(13));
-        let robust = app.sweep_measured_robust(
-            &sizes,
-            &SweepExecutor::serial(13),
-            RetryPolicy::default(),
-            FaultPlan::none(),
-        );
-        assert!(robust.is_complete());
-        assert_eq!(robust.points, plain);
     }
 
     #[test]

@@ -5,8 +5,11 @@ use crate::parallel::{ResumableSweep, RetryPolicy, RobustSweep, SweepExecutor, S
 use crate::point::DataPoint;
 use crate::runner::MeasurementRunner;
 use enprop_gpusim::{GpuArch, KernelEstimate, ProductProfile, TiledDgemm, TiledDgemmConfig};
-use enprop_power::{FaultInjectingMeter, FaultPlan, SimulatedWattsUp};
+use enprop_power::FaultPlan;
 use enprop_units::Watts;
+
+/// Idle draw of the paper's GPU server nodes.
+const NODE_IDLE_POWER: Watts = Watts(110.0);
 
 /// The application bound to one GPU and one workload definition.
 #[derive(Debug, Clone)]
@@ -39,7 +42,7 @@ impl GpuMatMulApp {
     /// per-`(N, BS)` model sub-result computed once per distinct `BS`
     /// rather than once per `(BS, G, R)` variant. The enumeration is
     /// `BS`-major, so a one-deep profile cache suffices.
-    fn estimates(&self, n: usize) -> Vec<(TiledDgemmConfig, KernelEstimate)> {
+    pub fn estimates(&self, n: usize) -> Vec<(TiledDgemmConfig, KernelEstimate)> {
         let mut profile: Option<ProductProfile> = None;
         self.configs(n)
             .into_iter()
@@ -77,33 +80,34 @@ impl GpuMatMulApp {
     /// out over `exec`'s workers. Output is bitwise-identical at any
     /// thread count: configuration `i` is always measured under
     /// [`SweepExecutor::config_seed`]`(i)` on a worker-local rig.
+    ///
+    /// This is [`sweep_measured_robust`](Self::sweep_measured_robust) with
+    /// the default retry policy, a fault-free meter and no journal; it
+    /// panics with the first failure record if a configuration could not
+    /// be measured.
     pub fn sweep_measured(
         &self,
         n: usize,
         exec: &SweepExecutor,
     ) -> Vec<DataPoint<TiledDgemmConfig>> {
-        let estimates = self.estimates(n);
-        exec.run_measured(
-            &estimates,
-            || Self::default_runner(0),
-            |runner, (cfg, e)| {
-                let m = runner.measure(e.time, e.steady_power, e.warmup_power, e.warmup_time);
-                DataPoint {
-                    config: *cfg,
-                    time: m.time,
-                    dynamic_energy: m.dynamic_energy,
-                    reps: m.reps,
-                    converged: m.converged,
-                }
-            },
-        )
+        let run = self
+            .sweep_measured_robust(n, exec, RetryPolicy::default(), FaultPlan::none(), None)
+            .expect("an unjournaled sweep cannot fail");
+        if let Some(failure) = run.sweep.failures.first() {
+            panic!("{failure}");
+        }
+        run.sweep.points
     }
 
-    /// Fault-tolerant [`sweep_measured`](Self::sweep_measured): the meter
-    /// misbehaves per `plan`, failed measurements are retried per
-    /// `policy`, and configurations that exhaust their retries come back
-    /// in [`RobustSweep::failures`] instead of panicking the sweep.
-    /// Bitwise-identical at any thread count (see
+    /// Fault-tolerant, optionally crash-safe [`sweep_measured`](Self::sweep_measured):
+    /// the meter misbehaves per `plan`, failed measurements are retried
+    /// per `policy`, and configurations that exhaust their retries come
+    /// back in [`RobustSweep::failures`] instead of panicking the sweep.
+    /// With a `checkpoint` (opened with
+    /// [`checkpoint_manifest`](Self::checkpoint_manifest)), finished
+    /// configurations are journaled and those the journal already holds
+    /// are replayed instead of re-measured. Output is bitwise-identical at
+    /// any thread count, resumed or not (see
     /// [`SweepExecutor::run_measured_with_retry`]).
     pub fn sweep_measured_robust(
         &self,
@@ -111,12 +115,16 @@ impl GpuMatMulApp {
         exec: &SweepExecutor,
         policy: RetryPolicy,
         plan: FaultPlan,
-    ) -> RobustSweep<TiledDgemmConfig, DataPoint<TiledDgemmConfig>> {
-        let estimates = self.estimates(n);
-        let sweep = exec.run_measured_with_retry(
-            &estimates,
+        checkpoint: Option<SweepCheckpoint<DataPoint<TiledDgemmConfig>>>,
+    ) -> Result<
+        ResumableSweep<TiledDgemmConfig, DataPoint<TiledDgemmConfig>>,
+        CheckpointError,
+    > {
+        let run = exec.run_measured_with_retry(
+            &self.estimates(n),
             policy,
-            || Self::faulty_runner(plan, 0),
+            checkpoint,
+            || MeasurementRunner::faulty(NODE_IDLE_POWER, plan, 0),
             |runner, (cfg, e)| {
                 let m =
                     runner.try_measure(e.time, e.steady_power, e.warmup_power, e.warmup_time)?;
@@ -128,24 +136,31 @@ impl GpuMatMulApp {
                     converged: m.converged,
                 })
             },
-        );
+        )?;
         // Strip the estimates out of the failure records: the configuration
         // is what reports and reruns need.
-        RobustSweep {
-            points: sweep.points,
-            failures: sweep
-                .failures
-                .into_iter()
-                .map(|f| SweepFailure {
-                    config: f.config.0,
-                    index: f.index,
-                    attempts: f.attempts,
-                    error: f.error,
-                })
-                .collect(),
-            retried: sweep.retried,
-            total: sweep.total,
-        }
+        let sweep = run.sweep;
+        Ok(ResumableSweep {
+            sweep: RobustSweep {
+                points: sweep.points,
+                failures: sweep
+                    .failures
+                    .into_iter()
+                    .map(|f| SweepFailure {
+                        config: f.config.0,
+                        index: f.index,
+                        attempts: f.attempts,
+                        error: f.error,
+                    })
+                    .collect(),
+                retried: sweep.retried,
+                total: sweep.total,
+            },
+            replayed: run.replayed,
+            executed: run.executed,
+            torn_tail_bytes: run.torn_tail_bytes,
+            crashed: run.crashed,
+        })
     }
 
     /// The manifest a checkpoint journal for this sweep must carry. The
@@ -172,67 +187,6 @@ impl GpuMatMulApp {
         )
     }
 
-    /// Crash-safe [`sweep_measured_robust`](Self::sweep_measured_robust):
-    /// finished configurations are journaled through `checkpoint`, and
-    /// configurations the journal already holds are replayed instead of
-    /// re-measured. Open the checkpoint with
-    /// [`checkpoint_manifest`](Self::checkpoint_manifest); resumed output
-    /// is bitwise-identical to an uninterrupted run at any thread count.
-    pub fn sweep_measured_robust_resumable(
-        &self,
-        n: usize,
-        exec: &SweepExecutor,
-        policy: RetryPolicy,
-        plan: FaultPlan,
-        checkpoint: SweepCheckpoint<DataPoint<TiledDgemmConfig>>,
-    ) -> Result<
-        ResumableSweep<TiledDgemmConfig, DataPoint<TiledDgemmConfig>>,
-        CheckpointError,
-    > {
-        let estimates = self.estimates(n);
-        let resumed = exec.run_measured_with_retry_resumable(
-            &estimates,
-            policy,
-            checkpoint,
-            || Self::faulty_runner(plan, 0),
-            |runner, (cfg, e)| {
-                let m =
-                    runner.try_measure(e.time, e.steady_power, e.warmup_power, e.warmup_time)?;
-                Ok(DataPoint {
-                    config: *cfg,
-                    time: m.time,
-                    dynamic_energy: m.dynamic_energy,
-                    reps: m.reps,
-                    converged: m.converged,
-                })
-            },
-        )?;
-        // Strip the estimates out of the failure records, exactly as the
-        // non-resumable path does.
-        let sweep = resumed.sweep;
-        Ok(ResumableSweep {
-            sweep: RobustSweep {
-                points: sweep.points,
-                failures: sweep
-                    .failures
-                    .into_iter()
-                    .map(|f| SweepFailure {
-                        config: f.config.0,
-                        index: f.index,
-                        attempts: f.attempts,
-                        error: f.error,
-                    })
-                    .collect(),
-                retried: sweep.retried,
-                total: sweep.total,
-            },
-            replayed: resumed.replayed,
-            executed: resumed.executed,
-            torn_tail_bytes: resumed.torn_tail_bytes,
-            crashed: resumed.crashed,
-        })
-    }
-
     /// The analytic profile of one configuration (for Fig. 6-style
     /// compound/base comparisons).
     pub fn estimate(&self, cfg: &TiledDgemmConfig) -> KernelEstimate {
@@ -242,16 +196,7 @@ impl GpuMatMulApp {
     /// A measurement rig matching the paper's GPU nodes (idle draw of a
     /// GPU server node).
     pub fn default_runner(seed: u64) -> MeasurementRunner {
-        MeasurementRunner::new(Watts(110.0), seed)
-    }
-
-    /// A [`default_runner`](Self::default_runner)-shaped rig whose meter
-    /// misbehaves per `plan`.
-    pub fn faulty_runner(
-        plan: FaultPlan,
-        seed: u64,
-    ) -> MeasurementRunner<FaultInjectingMeter<SimulatedWattsUp>> {
-        MeasurementRunner::faulty(Watts(110.0), plan, seed)
+        MeasurementRunner::new(NODE_IDLE_POWER, seed)
     }
 }
 
@@ -292,16 +237,25 @@ mod tests {
 
     #[test]
     fn faultless_robust_sweep_matches_plain_sweep() {
+        // The plain rig through the non-retrying executor is the reference
+        // the fault-free retrying path must reproduce bitwise.
         let app = GpuMatMulApp::new(GpuArch::k40c(), 2);
-        let plain = app.sweep_measured(256, &SweepExecutor::serial(9));
-        let robust = app.sweep_measured_robust(
-            256,
-            &SweepExecutor::serial(9),
-            RetryPolicy::default(),
-            FaultPlan::none(),
+        let exec = SweepExecutor::serial(9);
+        let plain = exec.run_measured(
+            &app.estimates(256),
+            || GpuMatMulApp::default_runner(0),
+            |runner, (cfg, e)| {
+                let m = runner.measure(e.time, e.steady_power, e.warmup_power, e.warmup_time);
+                DataPoint {
+                    config: *cfg,
+                    time: m.time,
+                    dynamic_energy: m.dynamic_energy,
+                    reps: m.reps,
+                    converged: m.converged,
+                }
+            },
         );
-        assert!(robust.is_complete());
-        assert_eq!(robust.points, plain);
+        assert_eq!(app.sweep_measured(256, &exec), plain);
     }
 
     #[test]
@@ -312,7 +266,10 @@ mod tests {
             &SweepExecutor::serial(9),
             RetryPolicy::attempts(2),
             FaultPlan::transient(0.5),
-        );
+            None,
+        )
+        .unwrap()
+        .sweep;
         assert_eq!(robust.points.len() + robust.failures.len(), robust.total);
         assert!(robust.failed_configs() > 0, "50% fault rate never exhausted retries");
         let all = app.configs(256);
@@ -327,21 +284,19 @@ mod tests {
         let exec = SweepExecutor::serial(9);
         let policy = RetryPolicy::attempts(2);
         let plan = FaultPlan::transient(0.3);
-        let clean = app.sweep_measured_robust(256, &exec, policy, plan);
+        let clean = app.sweep_measured_robust(256, &exec, policy, plan, None).unwrap().sweep;
         let dir = std::env::temp_dir()
             .join(format!("enprop-gpumm-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let manifest = app.checkpoint_manifest(256, &exec, &policy, &plan);
         let ckpt = SweepCheckpoint::fresh(&dir, manifest.clone()).unwrap();
-        let first =
-            app.sweep_measured_robust_resumable(256, &exec, policy, plan, ckpt).unwrap();
+        let first = app.sweep_measured_robust(256, &exec, policy, plan, Some(ckpt)).unwrap();
         assert_eq!(first.sweep, clean);
         assert_eq!(first.executed, clean.total);
         assert_eq!(first.replayed, 0);
         // A second open replays everything and executes nothing.
         let again = SweepCheckpoint::resume(&dir, &manifest).unwrap();
-        let second =
-            app.sweep_measured_robust_resumable(256, &exec, policy, plan, again).unwrap();
+        let second = app.sweep_measured_robust(256, &exec, policy, plan, Some(again)).unwrap();
         assert_eq!(second.sweep, clean);
         assert_eq!(second.executed, 0);
         assert_eq!(second.replayed, clean.total);

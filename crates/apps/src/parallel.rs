@@ -22,7 +22,7 @@
 //! The executor is generic over worker state, so model-only sweeps (no
 //! measurement pipeline) reuse the same fan-out via [`SweepExecutor::map`].
 
-use crate::checkpoint::{CheckpointError, JournalRecord, SweepCheckpoint};
+use crate::checkpoint::{CheckpointError, JournalRecord, ReplayStats, SweepCheckpoint};
 use crate::runner::MeasurementRunner;
 use enprop_kernels::par;
 use enprop_power::{MeasureError, Meter};
@@ -271,7 +271,7 @@ impl SweepExecutor {
         })
     }
 
-    /// Fault-tolerant measurement fan-out: like
+    /// Fault-tolerant, optionally crash-safe measurement fan-out: like
     /// [`run_measured`](SweepExecutor::run_measured), but a failed
     /// measurement is retried per `policy` instead of panicking, and
     /// configurations that exhaust their retries are *recorded* — never
@@ -291,56 +291,37 @@ impl SweepExecutor {
     ///
     /// Non-transient errors ([`MeasureError::is_transient`] = false) fail
     /// immediately without burning retries.
-    pub fn run_measured_with_retry<M, C, T>(
-        &self,
-        items: &[C],
-        policy: RetryPolicy,
-        make_runner: impl Fn() -> MeasurementRunner<M> + Sync,
-        f: impl Fn(&mut MeasurementRunner<M>, &C) -> Result<T, MeasureError> + Sync,
-    ) -> RobustSweep<C, T>
-    where
-        M: Meter,
-        C: Clone + Sync,
-        T: Send,
-    {
-        assert!(policy.max_attempts >= 1, "need at least one attempt");
-        let outcomes = self.map_with(items, make_runner, |runner, item, config_seed| {
-            measure_with_retry(runner, &policy, config_seed, item, &f)
-        });
-        RobustSweep::collect(items, outcomes)
-    }
-
-    /// Crash-safe [`run_measured_with_retry`](SweepExecutor::run_measured_with_retry):
-    /// every finished configuration (measured *or* failed) is appended to
-    /// `checkpoint`'s durable journal, and configurations the journal
-    /// already holds are replayed instead of re-measured.
     ///
-    /// ## Resume invariant
+    /// ## Checkpointing and the resume invariant
     ///
-    /// Configuration `i` is always measured under
-    /// [`config_seed`](SweepExecutor::config_seed)`(i)` with attempt-`k`
-    /// reseeding via [`split_seed`]`(config_seed(i), k)` — by its *sweep*
-    /// index, not its position among the configurations left to run. Every
-    /// outcome is therefore a pure function of `(sweep_seed, index,
-    /// attempt)`, so a sweep killed at any point and resumed — even across
-    /// a different thread count — returns output bitwise-identical to an
-    /// uninterrupted run. The crash-injection suite pins this at 1/2/8
-    /// threads, including torn mid-record kills.
+    /// With `Some(checkpoint)`, every finished configuration (measured
+    /// *or* failed) is appended to the checkpoint's durable journal, and
+    /// configurations the journal already holds are replayed instead of
+    /// re-measured. Seeds are keyed by the *sweep* index, not the position
+    /// among the configurations left to run, so a sweep killed at any
+    /// point and resumed — even across a different thread count — returns
+    /// output bitwise-identical to an uninterrupted run. The
+    /// crash-injection suite pins this at 1/2/8 threads, including torn
+    /// mid-record kills.
     ///
     /// The checkpoint is consumed: its journal is finished (tail sealed) on
     /// return, and one checkpoint can never journal two sweeps. Journal
     /// append order is worker completion order — nondeterministic — which
     /// is why replay is index-keyed and order-independent.
     ///
-    /// Returns [`CheckpointError`] only for journal I/O failures; the
+    /// With `None` nothing is journaled or replayed: the result reports
+    /// `replayed = 0`, `executed = items.len()`, no torn bytes and no
+    /// crash, and the call cannot fail.
+    ///
+    /// Returns [`CheckpointError`] only for journal I/O failures; a
     /// checkpoint must have been opened for this executor's seed, `items`'
     /// length, and `policy`'s attempt budget (else
     /// [`CheckpointError::ManifestMismatch`]).
-    pub fn run_measured_with_retry_resumable<M, C, T>(
+    pub fn run_measured_with_retry<M, C, T>(
         &self,
         items: &[C],
         policy: RetryPolicy,
-        mut checkpoint: SweepCheckpoint<T>,
+        mut checkpoint: Option<SweepCheckpoint<T>>,
         make_runner: impl Fn() -> MeasurementRunner<M> + Sync,
         f: impl Fn(&mut MeasurementRunner<M>, &C) -> Result<T, MeasureError> + Sync,
     ) -> Result<ResumableSweep<C, T>, CheckpointError>
@@ -350,19 +331,26 @@ impl SweepExecutor {
         T: Send + Clone + Serialize + DeserializeOwned,
     {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
-        let manifest = checkpoint.manifest();
-        for (field, expected, found) in [
-            ("sweep_seed", self.seed.to_string(), manifest.sweep_seed.to_string()),
-            ("total_configs", items.len().to_string(), manifest.total_configs.to_string()),
-            ("max_attempts", policy.max_attempts.to_string(), manifest.max_attempts.to_string()),
-        ] {
-            if expected != found {
-                return Err(CheckpointError::ManifestMismatch { field, expected, found });
+        let mut stats = ReplayStats::default();
+        let mut replayed = Vec::new();
+        if let Some(checkpoint) = &mut checkpoint {
+            let manifest = checkpoint.manifest();
+            for (field, expected, found) in [
+                ("sweep_seed", self.seed.to_string(), manifest.sweep_seed.to_string()),
+                ("total_configs", items.len().to_string(), manifest.total_configs.to_string()),
+                (
+                    "max_attempts",
+                    policy.max_attempts.to_string(),
+                    manifest.max_attempts.to_string(),
+                ),
+            ] {
+                if expected != found {
+                    return Err(CheckpointError::ManifestMismatch { field, expected, found });
+                }
             }
+            stats = checkpoint.stats();
+            replayed = std::mem::take(&mut checkpoint.replayed);
         }
-
-        let stats = checkpoint.stats();
-        let replayed = std::mem::take(&mut checkpoint.replayed);
         let done: HashSet<usize> = replayed.iter().map(|(i, _)| *i).collect();
         let pending: Vec<usize> = (0..items.len()).filter(|i| !done.contains(i)).collect();
 
@@ -374,7 +362,7 @@ impl SweepExecutor {
         // one must not convert every other worker's append into a
         // misleading "journal lock poisoned" panic that masks the original
         // failure.
-        let writer = Mutex::new(&mut checkpoint.writer);
+        let writer = checkpoint.as_mut().map(|c| Mutex::new(&mut c.writer));
         let append_error: Mutex<Option<CheckpointError>> = Mutex::new(None);
         let executed: Vec<(usize, SweepOutcome<T>)> =
             self.map_with(&pending, make_runner, |runner, &index, _| {
@@ -388,16 +376,22 @@ impl SweepExecutor {
                     &items[index],
                     &f,
                 );
-                let record = JournalRecord { index, outcome: outcome.clone() };
-                if let Err(e) = lock_unpoisoned(&writer).append(&record) {
-                    lock_unpoisoned(&append_error).get_or_insert(e);
+                if let Some(writer) = &writer {
+                    let record = JournalRecord { index, outcome: outcome.clone() };
+                    if let Err(e) = lock_unpoisoned(writer).append(&record) {
+                        lock_unpoisoned(&append_error).get_or_insert(e);
+                    }
                 }
                 (index, outcome)
             });
         if let Some(e) = append_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
         }
-        checkpoint.writer.finish()?;
+        let mut crashed = false;
+        if let Some(checkpoint) = &mut checkpoint {
+            checkpoint.writer.finish()?;
+            crashed = checkpoint.writer.crashed();
+        }
 
         let mut slots: Vec<Option<SweepOutcome<T>>> =
             (0..items.len()).map(|_| None).collect();
@@ -417,13 +411,12 @@ impl SweepExecutor {
             replayed: stats.records,
             executed: executed_count,
             torn_tail_bytes: stats.torn_tail_bytes,
-            crashed: checkpoint.writer.crashed(),
+            crashed,
         })
     }
 }
 
-/// One configuration's bounded retry loop, shared by the plain and
-/// resumable fault-tolerant sweeps.
+/// One configuration's bounded retry loop.
 ///
 /// Attempt 0 reseeds with `config_seed` itself (bitwise identity with the
 /// non-retrying path); attempt `k > 0` with [`split_seed`]`(config_seed, k)`.
@@ -660,9 +653,8 @@ impl<C, T> RobustSweep<C, T> {
 #[must_use = "a ResumableSweep carries failure records and resume accounting that must be checked"]
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumableSweep<C, T> {
-    /// The sweep itself — bitwise-identical to what an uninterrupted
-    /// [`run_measured_with_retry`](SweepExecutor::run_measured_with_retry)
-    /// would have returned.
+    /// The sweep itself — bitwise-identical to what an uninterrupted,
+    /// unjournaled run would have returned.
     pub sweep: RobustSweep<C, T>,
     /// Configurations replayed from the journal.
     pub replayed: usize,
@@ -681,6 +673,17 @@ mod tests {
     use super::*;
     use enprop_power::FaultPlan;
     use enprop_units::{Seconds, Watts};
+
+    /// The sweep of an unjournaled retry run, checking the accounting a
+    /// run without a checkpoint must report.
+    fn unjournaled<C, T>(
+        run: Result<ResumableSweep<C, T>, CheckpointError>,
+    ) -> RobustSweep<C, T> {
+        let run = run.expect("an unjournaled sweep cannot fail");
+        assert_eq!((run.replayed, run.executed), (0, run.sweep.total));
+        assert_eq!((run.torn_tail_bytes, run.crashed), (0, false));
+        run.sweep
+    }
 
     #[test]
     fn map_preserves_enumeration_order() {
@@ -805,14 +808,15 @@ mod tests {
                 runner.measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
             },
         );
-        let robust = exec.run_measured_with_retry(
+        let robust = unjournaled(exec.run_measured_with_retry(
             &items,
             RetryPolicy::default(),
+            None,
             || MeasurementRunner::faulty(Watts(90.0), FaultPlan::none(), 0),
             |runner, &steady| {
                 runner.try_measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
             },
-        );
+        ));
         assert!(robust.is_complete());
         assert_eq!(robust.retried, 0);
         assert_eq!(robust.points, plain);
@@ -822,14 +826,15 @@ mod tests {
     fn retry_sweep_is_thread_count_invariant_under_faults() {
         let items: Vec<f64> = (1..=24).map(|i| 10.0 * i as f64).collect();
         let sweep = |threads: usize| {
-            SweepExecutor::new(77).with_threads(threads).run_measured_with_retry(
+            unjournaled(SweepExecutor::new(77).with_threads(threads).run_measured_with_retry(
                 &items,
                 RetryPolicy::attempts(2),
+                None,
                 || MeasurementRunner::faulty(Watts(90.0), FaultPlan::transient(0.25), 0),
                 |runner, &steady| {
                     runner.try_measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
                 },
-            )
+            ))
         };
         let serial = sweep(1);
         // With a 25% per-read failure rate and only 2 attempts, some
@@ -841,17 +846,57 @@ mod tests {
     }
 
     #[test]
+    fn unjournaled_sweep_equals_freshly_journaled_sweep() {
+        use crate::checkpoint::SweepManifest;
+
+        let items: Vec<f64> = (1..=24).map(|i| 10.0 * i as f64).collect();
+        let policy = RetryPolicy::attempts(2);
+        let sweep = |threads: usize, checkpoint| {
+            SweepExecutor::new(77).with_threads(threads).run_measured_with_retry(
+                &items,
+                policy,
+                checkpoint,
+                || MeasurementRunner::faulty(Watts(90.0), FaultPlan::transient(0.25), 0),
+                |runner, &steady| {
+                    runner.try_measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
+                },
+            )
+        };
+        let root =
+            std::env::temp_dir().join(format!("enprop-unjournaled-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for threads in [1usize, 2, 8] {
+            let plain = sweep(threads, None).expect("an unjournaled sweep cannot fail");
+            assert_eq!(plain.replayed, 0);
+            assert_eq!(plain.executed, items.len());
+            assert_eq!(plain.torn_tail_bytes, 0);
+            assert!(!plain.crashed);
+            assert!(plain.sweep.retried > 0, "fault plan never fired");
+
+            let manifest =
+                SweepManifest::new(77, items.len(), policy.max_attempts, "synthetic".to_string());
+            let dir = root.join(format!("t{threads}"));
+            let checkpoint = SweepCheckpoint::fresh(&dir, manifest).unwrap();
+            let journaled = sweep(threads, Some(checkpoint)).unwrap();
+            assert_eq!(journaled.sweep, plain.sweep, "threads {threads}");
+            assert_eq!(journaled.executed, items.len());
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn exhausted_retries_are_recorded_not_dropped() {
         let items: Vec<f64> = (1..=8).map(|i| 10.0 * i as f64).collect();
         let exec = SweepExecutor::serial(3);
-        let robust = exec.run_measured_with_retry(
+        let robust = unjournaled(exec.run_measured_with_retry(
             &items,
             RetryPolicy::no_retry(),
+            None,
             || MeasurementRunner::faulty(Watts(90.0), FaultPlan::transient(1.0), 0),
             |runner, &steady| {
                 runner.try_measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
             },
-        );
+        ));
         assert_eq!(robust.points.len(), 0);
         assert_eq!(robust.failed_configs(), items.len());
         assert_eq!(robust.total, items.len());
@@ -869,14 +914,15 @@ mod tests {
         // clear more configurations at 4 attempts than at 1.
         let items: Vec<f64> = (1..=16).map(|i| 10.0 * i as f64).collect();
         let sweep = |attempts: usize| {
-            SweepExecutor::serial(9).run_measured_with_retry(
+            unjournaled(SweepExecutor::serial(9).run_measured_with_retry(
                 &items,
                 RetryPolicy::attempts(attempts),
+                None,
                 || MeasurementRunner::faulty(Watts(90.0), FaultPlan::transient(0.4), 0),
                 |runner, &steady| {
                     runner.try_measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
                 },
-            )
+            ))
         };
         let once = sweep(1);
         let patient = sweep(4);
@@ -891,14 +937,15 @@ mod tests {
         // fails with DeadlineExceeded — deterministically, with no timing
         // assumptions about the host.
         let items: Vec<f64> = (1..=4).map(|i| 10.0 * i as f64).collect();
-        let robust = SweepExecutor::serial(5).run_measured_with_retry(
+        let robust = unjournaled(SweepExecutor::serial(5).run_measured_with_retry(
             &items,
             RetryPolicy::attempts(2).with_attempt_deadline(Duration::ZERO),
+            None,
             || MeasurementRunner::new(Watts(90.0), 0),
             |runner, &steady| {
                 runner.try_measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
             },
-        );
+        ));
         assert_eq!(robust.points.len(), 0);
         assert_eq!(robust.failed_configs(), items.len());
         for f in &robust.failures {
@@ -916,14 +963,15 @@ mod tests {
     fn generous_deadline_leaves_the_sweep_bitwise_untouched() {
         let items: Vec<f64> = (1..=8).map(|i| 10.0 * i as f64).collect();
         let run = |policy: RetryPolicy| {
-            SweepExecutor::serial(7).run_measured_with_retry(
+            unjournaled(SweepExecutor::serial(7).run_measured_with_retry(
                 &items,
                 policy,
+                None,
                 || MeasurementRunner::new(Watts(90.0), 0),
                 |runner, &steady| {
                     runner.try_measure(Seconds(20.0), Watts(steady), Watts::ZERO, Seconds::ZERO)
                 },
-            )
+            ))
         };
         let plain = run(RetryPolicy::default());
         let watched =

@@ -19,7 +19,8 @@
 //! rate: each configuration retries up to 3 times on a fresh seed
 //! substream, exhausted configurations are skipped with a reported count,
 //! and the surviving output is still bitwise-identical at any thread
-//! count.
+//! count. `--faults` needs `--measured` (or `bench-json`, whose fault
+//! smoke sweep takes the rate); anywhere else it is a usage error.
 //!
 //! With `--checkpoint DIR` the measured Fig. 7/8 sweeps write a durable
 //! append-only journal of completed configurations under `DIR` (one
@@ -240,6 +241,12 @@ fn main() {
     if checkpoint_dir.is_some() && measured.is_none() {
         usage("--checkpoint only applies to the measured sweeps; add --measured [SEED]");
     }
+    if faults.is_some() && measured.is_none() && which != "bench-json" {
+        usage(
+            "--faults only applies to the measured sweeps and bench-json; \
+             add --measured [SEED]",
+        );
+    }
     let checkpoint = checkpoint_dir.as_deref().map(|dir| (dir, resume));
 
     if which == "bench-json" {
@@ -316,8 +323,9 @@ fn executor(seed: u64, threads: Option<usize>) -> SweepExecutor {
     }
 }
 
-/// Routes one checkpointed figure generation: reports per-size resume
-/// accounting on stderr and turns a journal error into a clean exit.
+/// Unwraps one measured figure generation: reports per-size resume
+/// accounting (present only under `--checkpoint`) on stderr and turns a
+/// journal error into a clean exit.
 fn checkpointed<P>(
     name: &str,
     result: Result<(Vec<P>, Vec<figures::CheckpointSummary>), enprop_apps::CheckpointError>,
@@ -354,27 +362,16 @@ fn run(
     // meter and the retrying sweep, and `--checkpoint` journaling each
     // completed configuration so an interrupted run can `--resume`.
     if let Some(seed) = measured {
+        let policy = RetryPolicy::default();
+        let plan = faults.map_or_else(FaultPlan::none, FaultPlan::transient);
+        let checkpoint = checkpoint.map(|(dir, resume)| (Path::new(dir), resume));
+        let exec = executor(seed, threads);
         match name {
             "fig7" => {
-                let exec = executor(seed, threads);
-                let panels = match (checkpoint, faults) {
-                    (Some((dir, resume)), rate) => checkpointed(
-                        name,
-                        figures::fig7::generate_measured_robust_checkpointed(
-                            &exec,
-                            RetryPolicy::default(),
-                            rate.map_or_else(FaultPlan::none, FaultPlan::transient),
-                            Path::new(dir),
-                            resume,
-                        ),
-                    ),
-                    (None, Some(rate)) => figures::fig7::generate_measured_robust_with(
-                        &exec,
-                        RetryPolicy::default(),
-                        FaultPlan::transient(rate),
-                    ),
-                    (None, None) => figures::fig7::generate_measured_with(&exec),
-                };
+                let panels = checkpointed(
+                    name,
+                    figures::fig7::generate_measured_robust(&exec, policy, plan, checkpoint),
+                );
                 let text = panels
                     .iter()
                     .map(|p| {
@@ -392,25 +389,10 @@ fn run(
                 return (text, to_json(&panels));
             }
             "fig8" => {
-                let exec = executor(seed, threads);
-                let panels = match (checkpoint, faults) {
-                    (Some((dir, resume)), rate) => checkpointed(
-                        name,
-                        figures::fig8::generate_measured_robust_checkpointed(
-                            &exec,
-                            RetryPolicy::default(),
-                            rate.map_or_else(FaultPlan::none, FaultPlan::transient),
-                            Path::new(dir),
-                            resume,
-                        ),
-                    ),
-                    (None, Some(rate)) => figures::fig8::generate_measured_robust_with(
-                        &exec,
-                        RetryPolicy::default(),
-                        FaultPlan::transient(rate),
-                    ),
-                    (None, None) => figures::fig8::generate_measured_with(&exec),
-                };
+                let panels = checkpointed(
+                    name,
+                    figures::fig8::generate_measured_robust(&exec, policy, plan, checkpoint),
+                );
                 let text = panels
                     .iter()
                     .map(|p| {
@@ -1799,7 +1781,9 @@ fn bench_fault_smoke(fault_rate: f64) -> FaultSmoke {
         .iter()
         .map(|&t| {
             let exec = SweepExecutor::new(42).with_threads(t);
-            app.sweep_measured_robust(n, &exec, policy, plan)
+            app.sweep_measured_robust(n, &exec, policy, plan, None)
+                .expect("an unjournaled sweep cannot fail")
+                .sweep
         })
         .collect();
     let identical_across_threads = sweeps.windows(2).all(|w| w[0] == w[1]);
@@ -1871,7 +1855,10 @@ fn bench_checkpoint_recovery(fault_rate: f64) -> CheckpointRecovery {
     let mut plain = None;
     for round in 0..5 {
         let start = Instant::now();
-        let sweep = app.sweep_measured_robust(n, &exec1, policy, plan);
+        let sweep = app
+            .sweep_measured_robust(n, &exec1, policy, plan, None)
+            .expect("an unjournaled sweep cannot fail")
+            .sweep;
         plain_rounds.push(start.elapsed().as_secs_f64());
         plain = Some(sweep);
 
@@ -1880,7 +1867,7 @@ fn bench_checkpoint_recovery(fault_rate: f64) -> CheckpointRecovery {
             .expect("fresh journal for the overhead run");
         let start = Instant::now();
         let journaled = app
-            .sweep_measured_robust_resumable(n, &exec1, policy, plan, checkpoint)
+            .sweep_measured_robust(n, &exec1, policy, plan, Some(checkpoint))
             .expect("journaled sweep");
         journaled_rounds.push(start.elapsed().as_secs_f64());
         assert!(
@@ -1902,7 +1889,7 @@ fn bench_checkpoint_recovery(fault_rate: f64) -> CheckpointRecovery {
         .expect("fresh journal for the crash run");
     checkpoint.arm_crash(CrashPlan::kill_after(crash_after).with_torn_bytes(torn_bytes));
     let crashed = app
-        .sweep_measured_robust_resumable(n, &exec1, policy, plan, checkpoint)
+        .sweep_measured_robust(n, &exec1, policy, plan, Some(checkpoint))
         .expect("crash-armed sweep");
     assert!(crashed.crashed, "the armed crash plan never fired");
 
@@ -1918,7 +1905,7 @@ fn bench_checkpoint_recovery(fault_rate: f64) -> CheckpointRecovery {
         let exec = SweepExecutor::new(42).with_threads(threads);
         let checkpoint = SweepCheckpoint::resume(&dir, &manifest).expect("resume journal");
         let resumed = app
-            .sweep_measured_robust_resumable(n, &exec, policy, plan, checkpoint)
+            .sweep_measured_robust(n, &exec, policy, plan, Some(checkpoint))
             .expect("resumed sweep");
         resumed_identical_across_threads &= resumed.sweep == plain;
         replayed = resumed.replayed;

@@ -6,10 +6,10 @@
 //! yields local fronts of ~4–5 points with real energy/performance
 //! trade-offs.
 
-use super::{front_of, gpu_cloud, CheckpointSummary, GPU_TOTAL_PRODUCTS};
-use enprop_apps::checkpoint::{CheckpointError, SweepCheckpoint};
+use super::{front_of, gpu_cloud, measured_clouds, CheckpointSummary, MeasuredCloud};
+use enprop_apps::checkpoint::CheckpointError;
 use enprop_apps::point::DataPoint;
-use enprop_apps::{sizes, GpuMatMulApp, RetryPolicy, SweepExecutor, SweepFailure};
+use enprop_apps::{sizes, RetryPolicy, SweepExecutor, SweepFailure};
 use enprop_ep::{WeakEpReport, WeakEpTest};
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
 use enprop_pareto::TradeoffAnalysis;
@@ -49,80 +49,41 @@ pub fn generate() -> Vec<Fig7Panel> {
 
 /// Generates both panels through the full measurement methodology:
 /// simulated WattsUp meter, HCLWATTSUP decomposition, and the Student-t
-/// repeat-until-confidence protocol — deterministic under `seed`, fanned
-/// out over all available cores.
-pub fn generate_measured(seed: u64) -> Vec<Fig7Panel> {
-    generate_measured_with(&SweepExecutor::new(seed))
-}
-
-/// [`generate_measured`] with an explicit executor (seed + thread count).
-/// Output is bitwise-identical for any thread count.
+/// repeat-until-confidence protocol — deterministic under `exec`'s seed
+/// and bitwise-identical for any thread count.
 pub fn generate_measured_with(exec: &SweepExecutor) -> Vec<Fig7Panel> {
-    let app = GpuMatMulApp::new(GpuArch::k40c(), GPU_TOTAL_PRODUCTS);
-    generate_from(move |n| (app.sweep_measured(n, exec), Vec::new()))
+    generate_measured_robust(exec, RetryPolicy::default(), FaultPlan::none(), None)
+        .expect("an unjournaled sweep cannot fail")
+        .0
 }
 
-/// [`generate_measured`] through a misbehaving meter: faults per `plan`,
+/// [`generate_measured_with`] through a misbehaving meter: faults per `plan`,
 /// retries per `policy`. Configurations that exhaust their retries are
 /// *skipped* — each panel's fronts are computed over the surviving cloud,
-/// with the casualties recorded in [`Fig7Panel::failures`]. Still
-/// bitwise-identical at any thread count. Panics only if *every*
-/// configuration of a size fails (no cloud to analyse).
-pub fn generate_measured_robust_with(
+/// with the casualties recorded in [`Fig7Panel::failures`]. Panics only if
+/// *every* configuration of a size fails (no cloud to analyse).
+///
+/// With `checkpoint = Some((dir, resume))` each size's sweep is journaled
+/// under `dir/fig7-n{N}`, and with `resume` set, a journal left by an
+/// interrupted run is replayed instead of re-measured; the per-size
+/// resume accounting comes back alongside the panels (empty without a
+/// checkpoint). Output is bitwise-identical at any thread count, resumed
+/// or not.
+pub fn generate_measured_robust(
     exec: &SweepExecutor,
     policy: RetryPolicy,
     plan: FaultPlan,
-) -> Vec<Fig7Panel> {
-    let app = GpuMatMulApp::new(GpuArch::k40c(), GPU_TOTAL_PRODUCTS);
-    generate_from(move |n| {
-        let sweep = app.sweep_measured_robust(n, exec, policy, plan);
-        (sweep.points, sweep.failures)
-    })
-}
-
-/// [`generate_measured_robust_with`] behind a durable checkpoint journal:
-/// each size's sweep is journaled under `dir/fig7-n{N}`, and with `resume`
-/// set, a journal left by an interrupted run is replayed instead of
-/// re-measured. Resumed panels are bitwise-identical to uninterrupted
-/// ones. Returns the panels plus per-size resume accounting.
-pub fn generate_measured_robust_checkpointed(
-    exec: &SweepExecutor,
-    policy: RetryPolicy,
-    plan: FaultPlan,
-    dir: &Path,
-    resume: bool,
+    checkpoint: Option<(&Path, bool)>,
 ) -> Result<(Vec<Fig7Panel>, Vec<CheckpointSummary>), CheckpointError> {
-    let app = GpuMatMulApp::new(GpuArch::k40c(), GPU_TOTAL_PRODUCTS);
-    let mut summaries = Vec::new();
-    let mut clouds = Vec::new();
-    for n in sizes::fig7_sizes() {
-        let subdir = dir.join(format!("fig7-n{n}"));
-        let manifest = app.checkpoint_manifest(n, exec, &policy, &plan);
-        let checkpoint = if resume {
-            SweepCheckpoint::resume_or_fresh(&subdir, manifest)?
-        } else {
-            SweepCheckpoint::fresh(&subdir, manifest)?
-        };
-        let run = app.sweep_measured_robust_resumable(n, exec, policy, plan, checkpoint)?;
-        summaries.push(CheckpointSummary {
-            n,
-            replayed: run.replayed,
-            executed: run.executed,
-            torn_tail_bytes: run.torn_tail_bytes,
-        });
-        clouds.push((run.sweep.points, run.sweep.failures));
-    }
+    let sizes = sizes::fig7_sizes();
+    let (clouds, summaries) =
+        measured_clouds("fig7", GpuArch::k40c(), &sizes, exec, policy, plan, checkpoint)?;
     let mut clouds = clouds.into_iter();
     let panels = generate_from(move |_| clouds.next().expect("one cloud per size"));
     Ok((panels, summaries))
 }
 
-fn generate_from(
-    mut sweep: impl FnMut(
-        usize,
-    )
-        -> (Vec<DataPoint<TiledDgemmConfig>>, Vec<SweepFailure<TiledDgemmConfig>>),
-) -> Vec<Fig7Panel> {
+fn generate_from(mut sweep: impl FnMut(usize) -> MeasuredCloud) -> Vec<Fig7Panel> {
     sizes::fig7_sizes()
         .into_iter()
         .map(|n| {

@@ -12,10 +12,13 @@ pub mod sensitivity;
 pub mod table1;
 pub mod theory;
 
+use enprop_apps::checkpoint::{CheckpointError, SweepCheckpoint};
 use enprop_apps::point::DataPoint;
-use enprop_apps::GpuMatMulApp;
+use enprop_apps::{GpuMatMulApp, RetryPolicy, SweepExecutor, SweepFailure};
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
 use enprop_pareto::{FrontTracker, TradeoffAnalysis};
+use enprop_power::FaultPlan;
+use std::path::Path;
 
 /// Total matrix products every configuration of a GPU sweep computes
 /// (the common workload of Figs. 2, 7, 8; divisible by every G ≤ 8).
@@ -33,6 +36,59 @@ pub struct CheckpointSummary {
     pub executed: usize,
     /// Bytes of a torn trailing record dropped at journal open.
     pub torn_tail_bytes: u64,
+}
+
+/// One size's measured cloud: the points that were measured and the
+/// configurations that exhausted their retries.
+pub(crate) type MeasuredCloud =
+    (Vec<DataPoint<TiledDgemmConfig>>, Vec<SweepFailure<TiledDgemmConfig>>);
+
+/// The measured GPU matmul sweep of `arch` at each of `sizes`, through a
+/// meter faulting per `plan` with retries per `policy`.
+///
+/// With `checkpoint = Some((dir, resume))` each size's sweep is journaled
+/// under `dir/{figure}-n{N}` (a manifest from
+/// [`GpuMatMulApp::checkpoint_manifest`]); with `resume` set, a journal
+/// left by an interrupted run is replayed instead of re-measured, and the
+/// per-size resume accounting is returned. Without a checkpoint nothing is
+/// journaled and the accounting is empty.
+pub(crate) fn measured_clouds(
+    figure: &str,
+    arch: GpuArch,
+    sizes: &[usize],
+    exec: &SweepExecutor,
+    policy: RetryPolicy,
+    plan: FaultPlan,
+    checkpoint: Option<(&Path, bool)>,
+) -> Result<(Vec<MeasuredCloud>, Vec<CheckpointSummary>), CheckpointError> {
+    let app = GpuMatMulApp::new(arch, GPU_TOTAL_PRODUCTS);
+    let mut clouds = Vec::with_capacity(sizes.len());
+    let mut summaries = Vec::new();
+    for &n in sizes {
+        let journal = match checkpoint {
+            None => None,
+            Some((dir, resume)) => {
+                let subdir = dir.join(format!("{figure}-n{n}"));
+                let manifest = app.checkpoint_manifest(n, exec, &policy, &plan);
+                Some(if resume {
+                    SweepCheckpoint::resume_or_fresh(&subdir, manifest)?
+                } else {
+                    SweepCheckpoint::fresh(&subdir, manifest)?
+                })
+            }
+        };
+        let run = app.sweep_measured_robust(n, exec, policy, plan, journal)?;
+        if checkpoint.is_some() {
+            summaries.push(CheckpointSummary {
+                n,
+                replayed: run.replayed,
+                executed: run.executed,
+                torn_tail_bytes: run.torn_tail_bytes,
+            });
+        }
+        clouds.push((run.sweep.points, run.sweep.failures));
+    }
+    Ok((clouds, summaries))
 }
 
 /// The noise-free configuration cloud of the GPU matmul application.

@@ -42,3 +42,9 @@ fn second_artifact_is_rejected() {
 fn known_artifact_runs() {
     assert_eq!(exit_code(&["table1"]), 0);
 }
+
+#[test]
+fn faults_without_measured_is_rejected() {
+    assert_eq!(exit_code(&["fig7", "--faults", "0.5"]), 2);
+    assert_eq!(exit_code(&["table1", "--faults"]), 2);
+}

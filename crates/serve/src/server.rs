@@ -43,7 +43,7 @@ use crate::cache::{content_hash, Lookup, ResultCache};
 use crate::http::{read_request, write_response, ChunkedWriter, Request};
 use enprop_apps::parallel::SweepExecutor;
 use enprop_apps::GpuMatMulApp;
-use enprop_gpusim::{GpuArch, ProductProfile};
+use enprop_gpusim::GpuArch;
 use enprop_pareto::front::BiPoint;
 use enprop_pareto::incremental::FrontTracker;
 use serde::{Serialize, Value};
@@ -580,26 +580,10 @@ fn compute_streaming(
     cache_state: &str,
     key_hash: &str,
 ) -> Vec<u8> {
-    let configs = app.configs(request.n);
-    let total = configs.len();
     // The estimate side of the measurement is deterministic; compute it
-    // once per configuration with the one-deep ProductProfile memo (the
-    // enumeration is BS-major, so consecutive configurations share BS).
-    let mut profile: Option<ProductProfile> = None;
-    let estimates: Vec<_> = configs
-        .iter()
-        .map(|cfg| {
-            let p = match profile {
-                Some(p) if p.bs == cfg.bs => p,
-                _ => {
-                    let p = app.model().product_profile(request.n, cfg.bs);
-                    profile = Some(p);
-                    p
-                }
-            };
-            app.model().estimate_from_profile(&p, cfg.g, cfg.r)
-        })
-        .collect();
+    // once, with the app's per-`BS` product-profile memo.
+    let (configs, estimates): (Vec<_>, Vec<_>) = app.estimates(request.n).into_iter().unzip();
+    let total = configs.len();
 
     let mut exec = SweepExecutor::new(request.seed);
     if state.config.threads != 0 {

@@ -92,12 +92,11 @@ fn synth_measure(
 /// The uninterrupted reference sweep for the synthetic workload.
 fn synth_clean(policy: RetryPolicy) -> RobustSweep<f64, f64> {
     let items = synth_items();
-    SweepExecutor::new(SYNTH_SEED).with_threads(2).run_measured_with_retry(
-        &items,
-        policy,
-        synth_runner,
-        synth_measure,
-    )
+    SweepExecutor::new(SYNTH_SEED)
+        .with_threads(2)
+        .run_measured_with_retry(&items, policy, None, synth_runner, synth_measure)
+        .expect("an unjournaled sweep cannot fail")
+        .sweep
 }
 
 /// Every kill point of the synthetic sweep, with clean and torn final
@@ -124,10 +123,10 @@ fn every_kill_point_resumes_bitwise_identical_at_all_thread_counts() {
 
         let crashed = SweepExecutor::new(SYNTH_SEED)
             .with_threads(2)
-            .run_measured_with_retry_resumable(
+            .run_measured_with_retry(
                 &items,
                 policy,
-                checkpoint,
+                Some(checkpoint),
                 synth_runner,
                 synth_measure,
             )
@@ -148,10 +147,10 @@ fn every_kill_point_resumes_bitwise_identical_at_all_thread_counts() {
             );
             let resumed = SweepExecutor::new(SYNTH_SEED)
                 .with_threads(threads)
-                .run_measured_with_retry_resumable(
+                .run_measured_with_retry(
                     &items,
                     policy,
-                    checkpoint,
+                    Some(checkpoint),
                     synth_runner,
                     synth_measure,
                 )
@@ -182,13 +181,13 @@ fn completed_journal_resumes_with_zero_recomputation() {
     let checkpoint = SweepCheckpoint::fresh(&dir, manifest.clone()).expect("fresh journal");
     let exec = SweepExecutor::new(SYNTH_SEED).with_threads(2);
     let first = exec
-        .run_measured_with_retry_resumable(&items, policy, checkpoint, synth_runner, synth_measure)
+        .run_measured_with_retry(&items, policy, Some(checkpoint), synth_runner, synth_measure)
         .expect("journaled sweep");
     assert_eq!(first.executed, SYNTH_TOTAL);
 
     let checkpoint = SweepCheckpoint::resume(&dir, &manifest).expect("resume journal");
     let second = exec
-        .run_measured_with_retry_resumable(&items, policy, checkpoint, synth_runner, synth_measure)
+        .run_measured_with_retry(&items, policy, Some(checkpoint), synth_runner, synth_measure)
         .expect("re-resumed sweep");
     assert_eq!(second.replayed, SYNTH_TOTAL);
     assert_eq!(second.executed, 0);
@@ -208,7 +207,7 @@ fn resume_refuses_a_journal_from_a_different_sweep() {
     let checkpoint = SweepCheckpoint::fresh(&dir, manifest.clone()).expect("fresh journal");
     let journaled = SweepExecutor::new(SYNTH_SEED)
         .with_threads(1)
-        .run_measured_with_retry_resumable(&items, policy, checkpoint, synth_runner, synth_measure)
+        .run_measured_with_retry(&items, policy, Some(checkpoint), synth_runner, synth_measure)
         .expect("journaled sweep");
     assert_eq!(journaled.executed, SYNTH_TOTAL);
 
@@ -399,7 +398,7 @@ fn fault_sweep_crash_resumes_identically_at_all_thread_counts() {
     let plan = FaultPlan::transient(0.05);
     let exec2 = SweepExecutor::new(42).with_threads(2);
 
-    let clean = app.sweep_measured_robust(n, &exec2, policy, plan);
+    let clean = app.sweep_measured_robust(n, &exec2, policy, plan, None).unwrap().sweep;
 
     let crash_dir = temp_dir("gpu-crash");
     let manifest = app.checkpoint_manifest(n, &exec2, &policy, &plan);
@@ -407,7 +406,7 @@ fn fault_sweep_crash_resumes_identically_at_all_thread_counts() {
         SweepCheckpoint::fresh(&crash_dir, manifest.clone()).expect("fresh journal");
     checkpoint.arm_crash(CrashPlan::from_seed(1234, total));
     let crashed = app
-        .sweep_measured_robust_resumable(n, &exec2, policy, plan, checkpoint)
+        .sweep_measured_robust(n, &exec2, policy, plan, Some(checkpoint))
         .expect("crash-armed sweep");
     assert!(crashed.crashed, "seeded crash plan never fired");
 
@@ -417,7 +416,7 @@ fn fault_sweep_crash_resumes_identically_at_all_thread_counts() {
         let exec = SweepExecutor::new(42).with_threads(threads);
         let checkpoint = SweepCheckpoint::resume(&dir, &manifest).expect("resume journal");
         let resumed = app
-            .sweep_measured_robust_resumable(n, &exec, policy, plan, checkpoint)
+            .sweep_measured_robust(n, &exec, policy, plan, Some(checkpoint))
             .expect("resumed sweep");
         assert!(
             resumed.sweep == clean,
@@ -444,15 +443,14 @@ fn deadline_exceeded_configs_fail_without_stalling_the_sweep() {
     let policy =
         RetryPolicy::attempts(2).with_attempt_deadline(Duration::from_millis(40));
 
-    let sweep = SweepExecutor::new(7).with_threads(2).run_measured_with_retry(
-        &items,
-        policy,
-        synth_runner,
-        |_runner, &ms: &u64| {
+    let sweep = SweepExecutor::new(7)
+        .with_threads(2)
+        .run_measured_with_retry(&items, policy, None, synth_runner, |_runner, &ms: &u64| {
             std::thread::sleep(Duration::from_millis(ms));
             Ok(ms as f64)
-        },
-    );
+        })
+        .expect("an unjournaled sweep cannot fail")
+        .sweep;
 
     assert_eq!(sweep.points.len(), items.len() - slow.len());
     assert_eq!(sweep.failures.len(), slow.len());

@@ -63,29 +63,12 @@ fn faulty_gpu_sweep_identical_at_1_2_8_threads() {
     let policy = RetryPolicy::attempts(2);
     let plan = FaultPlan::transient(0.2);
     let [e1, e2, e8] = executors(31);
-    let base = app.sweep_measured_robust(2048, &e1, policy, plan);
+    let sweep = |exec| app.sweep_measured_robust(2048, exec, policy, plan, None).unwrap().sweep;
+    let base = sweep(&e1);
     assert!(!base.points.is_empty());
     assert!(base.retried > 0, "20% fault rate never triggered a retry");
-    assert_eq!(base, app.sweep_measured_robust(2048, &e2, policy, plan));
-    assert_eq!(base, app.sweep_measured_robust(2048, &e8, policy, plan));
-}
-
-#[test]
-fn faulty_cpu_sweep_identical_at_1_2_8_threads() {
-    let app = CpuDgemmApp::haswell();
-    let policy = RetryPolicy::attempts(2);
-    let plan = FaultPlan::transient(0.2);
-    let [e1, e2, e8] = executors(17);
-    let base = app.sweep_measured_robust(4096, BlasFlavor::OpenBlas, &e1, 40, policy, plan);
-    assert!(!base.points.is_empty());
-    assert_eq!(
-        base,
-        app.sweep_measured_robust(4096, BlasFlavor::OpenBlas, &e2, 40, policy, plan)
-    );
-    assert_eq!(
-        base,
-        app.sweep_measured_robust(4096, BlasFlavor::OpenBlas, &e8, 40, policy, plan)
-    );
+    assert_eq!(base, sweep(&e2));
+    assert_eq!(base, sweep(&e8));
 }
 
 proptest! {

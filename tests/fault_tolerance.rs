@@ -20,7 +20,8 @@ fn hundred_config_sweep_survives_five_percent_faults() {
 
     let policy = RetryPolicy::default(); // 3 attempts, no sleep
     let plan = FaultPlan::transient(0.05);
-    let sweep = app.sweep_measured_robust(n, &SweepExecutor::serial(42), policy, plan);
+    let sweep =
+        app.sweep_measured_robust(n, &SweepExecutor::serial(42), policy, plan, None).unwrap().sweep;
 
     // No configuration vanishes: every one is a point or a failure record.
     assert_eq!(sweep.points.len() + sweep.failures.len(), sweep.total);
@@ -50,10 +51,11 @@ fn failed_config_set_is_identical_across_thread_counts() {
     let policy = RetryPolicy::default();
     let plan = FaultPlan::transient(0.05);
 
-    let serial = app.sweep_measured_robust(n, &SweepExecutor::serial(42), policy, plan);
+    let serial =
+        app.sweep_measured_robust(n, &SweepExecutor::serial(42), policy, plan, None).unwrap().sweep;
     for threads in [2usize, 8] {
         let exec = SweepExecutor::new(42).with_threads(threads);
-        let sweep = app.sweep_measured_robust(n, &exec, policy, plan);
+        let sweep = app.sweep_measured_robust(n, &exec, policy, plan, None).unwrap().sweep;
         // Full bitwise equality: surviving points, the exhausted-retry
         // set (configs, indices, attempt counts, errors), and counters.
         assert_eq!(serial, sweep, "{threads}-thread sweep diverged from serial");
@@ -62,12 +64,29 @@ fn failed_config_set_is_identical_across_thread_counts() {
 
 #[test]
 fn zero_fault_rate_is_transparent() {
+    // The plain rig through the non-retrying executor is the reference the
+    // fault-free retrying sweep must reproduce bitwise.
     let (app, n) = workload();
     let exec = SweepExecutor::serial(42);
-    let plain = app.sweep_measured(n, &exec);
-    let robust =
-        app.sweep_measured_robust(n, &exec, RetryPolicy::default(), FaultPlan::none());
+    let plain: Vec<_> = exec
+        .run_measured(
+            &app.estimates(n),
+            || GpuMatMulApp::default_runner(0),
+            |runner, (_, e)| {
+                runner.measure(e.time, e.steady_power, e.warmup_power, e.warmup_time)
+            },
+        )
+        .into_iter()
+        .map(|m| (m.time, m.dynamic_energy, m.reps, m.converged))
+        .collect();
+    let robust = app
+        .sweep_measured_robust(n, &exec, RetryPolicy::default(), FaultPlan::none(), None)
+        .unwrap()
+        .sweep;
     assert!(robust.is_complete());
     assert_eq!(robust.retried, 0);
-    assert_eq!(robust.points, plain);
+    let points: Vec<_> =
+        robust.points.iter().map(|p| (p.time, p.dynamic_energy, p.reps, p.converged)).collect();
+    assert_eq!(points, plain);
+    assert_eq!(app.sweep_measured(n, &exec), robust.points);
 }
